@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import TDTreeIndex
+from repro import create_engine
 from repro.core import decompose
 from repro.datasets import load_dataset
 
@@ -36,7 +36,7 @@ DATASET = "CAL"
 ENFORCED_C = max(C_VALUES)
 DECOMPOSE_SPEEDUP_TARGET = 3.0
 
-STRATEGIES = ("basic", "dp", "approx", "full")
+SPECS = ("td-basic", "td-dp", "td-appro", "td-full")
 
 
 def _best_of(fn, repeats=3):
@@ -98,10 +98,9 @@ def test_build_phases_report():
     rows = []
     for use_batch in (False, True):
         graph = load_dataset(DATASET, num_points=ENFORCED_C)
-        index = TDTreeIndex.build(
-            graph, strategy="approx", use_batch_kernels=use_batch
-        )
-        seconds = index.statistics().phase_seconds
+        engine = create_engine("td-appro", graph, use_batch_kernels=use_batch)
+        stats = engine.statistics()
+        seconds = stats.phase_seconds
         rows.append(
             {
                 "dataset": DATASET,
@@ -112,7 +111,7 @@ def test_build_phases_report():
                 "kernels_s": seconds.get("decomposition/kernels", 0.0),
                 "candidates_s": seconds.get("shortcut_candidates", 0.0),
                 "selection_s": seconds.get("selection", 0.0),
-                "total_s": index.statistics().total_build_seconds,
+                "total_s": stats.total_build_seconds,
             }
         )
     register_report(
@@ -132,17 +131,13 @@ def test_build_strategies_bit_identical_costs():
     sources = np.array([q.source for q in queries], dtype=np.int64)
     targets = np.array([q.target for q in queries], dtype=np.int64)
     departures = np.array([q.departure for q in queries], dtype=np.float64)
-    for strategy in STRATEGIES:
-        scalar_index = TDTreeIndex.build(
-            graph.copy(), strategy=strategy, use_batch_kernels=False
-        )
-        batched_index = TDTreeIndex.build(
-            graph.copy(), strategy=strategy, use_batch_kernels=True
-        )
+    for spec in SPECS:
+        scalar = create_engine(f"{spec}?use_batch_kernels=false", graph.copy())
+        batched = create_engine(f"{spec}?use_batch_kernels=true", graph.copy())
         assert np.array_equal(
-            scalar_index.batch_query(sources, targets, departures).costs,
-            batched_index.batch_query(sources, targets, departures).costs,
-        ), f"{strategy}: query costs differ between the build engines"
+            scalar.batch_query(sources, targets, departures).costs,
+            batched.batch_query(sources, targets, departures).costs,
+        ), f"{spec}: query costs differ between the build engines"
 
 
 @pytest.mark.parametrize("engine", ["scalar", "batched"])

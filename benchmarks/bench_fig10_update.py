@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import TDTreeIndex
+from repro import create_engine
 from repro.datasets import get_spec, load_dataset
 from repro.experiments import run_fig10
 from repro.graph.weights import WeightGenerator
@@ -24,13 +24,12 @@ C = 3
 UPDATE_COUNTS = (2, 10, 50, 200, 500) if FULL_SWEEP else (2, 20, 100)
 
 
-def _fresh_index_and_changes(count: int, seed: int):
+def _fresh_engine_and_changes(count: int, seed: int):
     graph = load_dataset(DATASET, num_points=C)
-    index = TDTreeIndex.build(
+    engine = create_engine(
+        "td-appro?max_points=16",
         graph,
-        strategy="approx",
         budget_fraction=get_spec(DATASET).default_budget_fraction,
-        max_points=16,
     )
     rng = np.random.default_rng(seed)
     perturber = WeightGenerator(C, seed=seed)
@@ -40,16 +39,16 @@ def _fresh_index_and_changes(count: int, seed: int):
     for edge_index in chosen:
         u, v, weight = edges[int(edge_index)]
         changes[(u, v)] = perturber.perturbed(weight)
-    return index, changes
+    return engine, changes
 
 
 @pytest.mark.parametrize("count", UPDATE_COUNTS)
 def test_index_update(benchmark, count):
     """Benchmark: repair the TD-appro index after ``count`` edge-weight changes."""
-    index, changes = _fresh_index_and_changes(count, seed=97 + count)
+    engine, changes = _fresh_engine_and_changes(count, seed=97 + count)
 
     report = benchmark.pedantic(
-        lambda: index.update_edges(changes), rounds=1, iterations=1
+        lambda: engine.update_edges(changes), rounds=1, iterations=1
     )
     benchmark.extra_info.update(
         {

@@ -36,7 +36,7 @@ def test_cost_query_under_budget(benchmark, fraction):
         {
             "dataset": DATASET,
             "budget_fraction": fraction,
-            "budget_N": build.index.selection.budget,
+            "budget_N": build.index.statistics().budget,
             "memory_mb": round(build.memory_mb, 3),
         }
     )

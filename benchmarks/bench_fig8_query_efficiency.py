@@ -6,7 +6,7 @@ are the two query types per (dataset, method, c) combination; the registered
 report prints the same series the figure plots.
 
 The module also benchmarks the **batch query engine**
-(:meth:`TDTreeIndex.batch_query`): the same scalar workload submitted as one
+(``engine.batch_query``): the same scalar workload submitted as one
 vectorized call instead of a per-query Python loop.  The batch workload uses
 the paper's 10 departure timestamps per OD pair (the loop/batch comparison is
 run on identical queries and asserts bit-identical costs).
@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.experiments import engine_supports, run_fig8
+from repro.experiments import run_fig8
 
 from harness import (
     BATCH_INTERVALS,
@@ -119,7 +119,7 @@ def test_report_batch_vs_loop_cal():
     for method in _methods_for("CAL"):
         build = built_index(method, "CAL", c)
         index = build.index
-        if not engine_supports(index, "batch"):
+        if not index.capabilities().batch:
             continue
         index.batch_query(sources, targets, departures)  # warm label caches
         loop_best = batch_best = float("inf")

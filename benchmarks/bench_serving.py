@@ -8,7 +8,7 @@ Three acceptance targets are *enforced* here (not just reported):
   scalar build path; the round-batched elimination engine made rebuilds
   ~2.5-3x cheaper, which shrinks the ratio without touching the load path);
 * :class:`repro.serving.QueryService` must sustain at least **3x** the
-  throughput of a per-call ``index.query`` loop on the Fig. 8 workload
+  throughput of a per-call ``engine.query`` loop on the Fig. 8 workload
   (NUM_PAIRS OD pairs x 10 departure timestamps);
 * with ``--host``: the :class:`repro.serving.EngineHost` swap-under-load
   scenario — hammering threads across a hot swap see **zero** errors, no
@@ -54,6 +54,7 @@ import numpy as np
 import pytest
 
 from repro import PiecewiseLinearFunction, TDTreeIndex, create_engine
+from repro.api import TDTreeEngine
 from repro.datasets import load_dataset
 from repro.serving import EngineHost, QueryService
 
@@ -67,7 +68,7 @@ from harness import (
 DATASET = "CAL"
 C = 3
 
-STRATEGIES = ("basic", "dp", "approx", "full")
+SPECS = ("td-basic", "td-dp", "td-appro", "td-full")
 #: Fig. 8 CAL methods that expose the index API (TD-G-tree has no service).
 SERVICE_METHODS = {"TD-basic": "basic", "TD-H2H": "full"}
 
@@ -94,19 +95,22 @@ def test_snapshot_load_vs_rebuild(tmp_path):
     graph = load_dataset(DATASET, num_points=C)
     sources, targets, departures = _workload_arrays()
     rows = []
-    for strategy in STRATEGIES:
+    for spec in SPECS:
         started = time.perf_counter()
-        index = TDTreeIndex.build(graph.copy(), strategy=strategy)
+        engine = create_engine(spec, graph.copy())
         build_seconds = time.perf_counter() - started
-        expected = index.batch_query(sources, targets, departures).costs
+        expected = engine.batch_query(sources, targets, departures).costs
 
-        directory = index.save(tmp_path / f"{DATASET}-{strategy}.index")
+        strategy = engine.index.strategy
+        directory = engine.index.save(tmp_path / f"{DATASET}-{strategy}.index")
         load_seconds = float("inf")
         for _ in range(3):
             started = time.perf_counter()
             loaded = TDTreeIndex.load(directory)
             load_seconds = min(load_seconds, time.perf_counter() - started)
-        actual = loaded.batch_query(sources, targets, departures).costs
+        actual = TDTreeEngine(loaded, name=spec).batch_query(
+            sources, targets, departures
+        ).costs
         assert np.array_equal(expected, actual), (
             f"{strategy}: loaded index costs differ from the built index"
         )
@@ -592,7 +596,7 @@ def test_replica_scaling(request, tmp_path):
     dropped batch and fails the run.
 
     Enforced always: zero dropped batches, and the full result array
-    bit-identical to the scalar oracle (``index.query`` per workload
+    bit-identical to the scalar oracle (``engine.query`` per workload
     entry).  Enforced when the machine has at least as many cores as the
     largest replica count: the throughput floor
     (:data:`REPLICA_SPEEDUP_TARGET` at 4+, the small-runner floor at 2-3).
@@ -616,11 +620,11 @@ def test_replica_scaling(request, tmp_path):
     cores = os.cpu_count() or 1
 
     graph = load_dataset(DATASET, num_points=C)
-    index = TDTreeIndex.build(graph, strategy="basic")
+    engine = create_engine("td-basic", graph)
     sources, targets, departures = _workload_arrays()
     oracle = np.array(
         [
-            index.query(int(s), int(t), float(d)).cost
+            engine.query(int(s), int(t), float(d)).cost
             for s, t, d in zip(sources, targets, departures)
         ],
         dtype=np.float64,
@@ -678,7 +682,7 @@ def test_replica_scaling(request, tmp_path):
 
     rows = []
     qps_by_count: dict[int, float] = {}
-    snapshot = index.save(tmp_path / "replica-bench.index")
+    snapshot = engine.index.save(tmp_path / "replica-bench.index")
     for count in counts:
         with ReplicaPool(
             snapshot, count, mmap_mode="r", name=f"bench-{count}"
@@ -732,11 +736,11 @@ def test_replica_scaling(request, tmp_path):
         )
 
 
-@pytest.mark.parametrize("strategy", ["approx"])
-def test_snapshot_load_benchmark(benchmark, tmp_path, strategy):
+@pytest.mark.parametrize("spec", [pytest.param("td-appro", id="approx")])
+def test_snapshot_load_benchmark(benchmark, tmp_path, spec):
     """pytest-benchmark timing of one load (tracked across PRs)."""
     graph = load_dataset(DATASET, num_points=C)
-    index = TDTreeIndex.build(graph, strategy=strategy)
+    index = create_engine(spec, graph).index
     directory = index.save(tmp_path / "bench.index")
     loaded = benchmark(lambda: TDTreeIndex.load(directory))
     assert loaded.tree.num_nodes == index.tree.num_nodes

@@ -29,21 +29,21 @@ def main() -> None:
     for spec in ("td-appro", "td-dp"):
         for fraction in (0.1, 0.25, 0.5):
             started = time.perf_counter()
-            index = create_engine(
+            engine = create_engine(
                 spec, graph, budget_fraction=fraction, max_points=16
             )
             build_seconds = time.perf_counter() - started
-            latency = measure_cost_queries(index, workload)
-            selection = index.selection
+            latency = measure_cost_queries(engine, workload)
+            selection = engine.index.selection
             rows.append(
                 {
                     "strategy": "TD-dp" if spec == "td-dp" else "TD-appro",
                     "budget_fraction": fraction,
                     "budget_N_points": selection.budget,
-                    "selected_pairs": len(index.shortcuts),
+                    "selected_pairs": len(selection.selected),
                     "achieved_utility": round(selection.total_utility, 1),
                     "build_s": build_seconds,
-                    "memory_mb": index.memory_breakdown().total_megabytes,
+                    "memory_mb": engine.memory_breakdown().total_megabytes,
                     "query_ms": latency.mean_ms,
                 }
             )

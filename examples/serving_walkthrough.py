@@ -6,9 +6,9 @@ subsystems are built for:
 
 1. an offline builder constructs the index via ``create_engine`` and writes
    a versioned snapshot (``.npz`` buffers + JSON manifest),
-2. every serving worker calls ``TDTreeIndex.load(path)`` — one to two orders
-   of magnitude cheaper than rebuilding — wraps it as an engine, and fronts
-   it with a ``QueryService`` (which serves *any* ``repro.api`` engine, even
+2. every serving worker calls ``create_engine("snapshot:<path>")`` — one to
+   two orders of magnitude cheaper than rebuilding — and fronts the engine
+   with a ``QueryService`` (which serves *any* ``repro.api`` engine, even
    the batch-less baselines, via a scalar loop-flush),
 3. scalar ``submit()`` calls from request handlers are micro-batched through
    the vectorized engine and answered via futures, with an LRU result cache
@@ -32,8 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import TDTreeIndex, create_engine
-from repro.api import TDTreeEngine
+from repro import create_engine
 from repro.graph import grid_network
 from repro.persistence import read_manifest
 from repro.serving import QueryService
@@ -54,11 +53,11 @@ def main() -> None:
         f"{manifest['counts']['shortcut_pairs']} shortcut pairs -> {snapshot_dir}"
     )
 
-    # 2. Online worker: load instead of rebuild, then wrap the loaded index
-    #    as an engine (snapshots round-trip bit-identically, so the worker's
-    #    engine answers exactly like the builder's).
+    # 2. Online worker: load instead of rebuild (snapshots round-trip
+    #    bit-identically, so the worker's engine answers exactly like the
+    #    builder's).
     started = time.perf_counter()
-    served = TDTreeEngine(TDTreeIndex.load(snapshot_dir), name="td-appro")
+    served = create_engine(f"snapshot:{snapshot_dir}")
     load_seconds = time.perf_counter() - started
     print(
         f"load: {load_seconds * 1000:.1f} ms vs {build_seconds * 1000:.0f} ms build "

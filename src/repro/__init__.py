@@ -28,15 +28,18 @@ Package layout
     Time-dependent graph structure, generators, I/O, validation.
 ``repro.core``
     The paper's contribution: TFP tree decomposition, shortcut selection
-    (exact DP and 0.5-approximation) and the query algorithms.
+    (exact DP and 0.5-approximation) and the query algorithms, bundled in
+    the ``TDTreeIndex`` that the ``td-*`` engines wrap (``engine.index``).
 ``repro.persistence``
-    Versioned on-disk index snapshots (``TDTreeIndex.save`` / ``load``).
+    Versioned on-disk index snapshots (``engine.index.save(dir)``; served
+    again with ``create_engine("snapshot:<dir>")``).
 ``repro.serving``
     Serving stack: micro-batching ``QueryService`` workers under an
     ``EngineHost`` control plane (named deployments, zero-downtime hot
     swap, async facade).
 ``repro.baselines``
-    TD-Dijkstra, TD-A*, TD-G-tree and TD-H2H comparison methods.
+    TD-Dijkstra, TD-A* and TD-G-tree comparison methods (TD-H2H is the
+    ``td-h2h`` engine: the ``full`` strategy of ``repro.core``).
 ``repro.datasets``
     Scaled dataset catalog mirroring the paper's Table 2 and the query
     workload generator.

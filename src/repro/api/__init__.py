@@ -38,7 +38,7 @@ from repro.api.adapters import (
     TDGTreeEngine,
     TDTreeEngine,
 )
-from repro.api.engine import Engine, engine_supports
+from repro.api.engine import Engine
 from repro.api.registry import (
     ENTRY_POINT_GROUP,
     EngineEntry,
@@ -64,7 +64,6 @@ from repro.api.types import (
 __all__ = [
     # protocol + result types
     "Engine",
-    "engine_supports",
     "EngineCapabilities",
     "Route",
     "RouteMatrix",

@@ -20,12 +20,8 @@ Each adapter normalises its method's native results (`EarliestArrivalResult`,
 `DijkstraResult`, `GTreeResult`, plain functions) into the shared
 :class:`~repro.api.Route` / :class:`~repro.api.RouteMatrix` /
 :class:`~repro.api.RouteProfile` types and advertises exactly what it can do
-through :class:`~repro.api.EngineCapabilities`.
-
-Adapters also forward unknown attribute reads to the wrapped object (a
-migration aid: legacy code reaching for ``index.shortcuts`` or
-``index.selection`` keeps working on an engine); new code should use the
-typed surface or the explicit ``.index`` handle.
+through :class:`~repro.api.EngineCapabilities`.  The wrapped native object
+stays reachable through the explicit ``.index`` handle.
 """
 
 from __future__ import annotations
@@ -47,9 +43,8 @@ from repro.api.types import (
 )
 from repro.baselines.td_astar import TDAStar
 from repro.baselines.td_dijkstra import TDDijkstra
-from repro.baselines.td_h2h import TDH2H
 from repro.baselines.tdg_tree import TDGTree
-from repro.core.index import TDTreeIndex
+from repro.core.index import IndexStatistics, TDTreeIndex
 from repro.exceptions import EngineSpecError, StaleRouteError, UnsupportedCapabilityError
 from repro.graph.td_graph import TDGraph
 
@@ -155,16 +150,6 @@ class EngineAdapter:
         if not getattr(self.CAPABILITIES, capability):
             raise UnsupportedCapabilityError(self.name, capability)
 
-    def __getattr__(self, attr: str) -> Any:
-        # Migration aid: legacy attribute reads (``engine.shortcuts``,
-        # ``engine.selection``, ``engine.statistics()``) resolve against the
-        # wrapped native object.  Only reached when normal lookup fails.
-        try:
-            index = object.__getattribute__(self, "index")
-        except AttributeError:
-            raise AttributeError(attr) from None
-        return getattr(index, attr)
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(name={self.name!r}, "
@@ -195,9 +180,7 @@ class _WeakEpochHook:
             return
         index = self._index_ref()
         if index is not None:
-            unregister = getattr(index, "unregister_invalidation_hook", None)
-            if unregister is not None:
-                unregister(self)
+            index.unregister_invalidation_hook(self)
 
 
 # ----------------------------------------------------------------------
@@ -206,9 +189,8 @@ class _WeakEpochHook:
 class TDTreeEngine(EngineAdapter):
     """Adapter over a built :class:`~repro.core.index.TDTreeIndex`.
 
-    Also the right wrapper for an index loaded from a snapshot::
-
-        engine = TDTreeEngine(TDTreeIndex.load(path), name="td-appro")
+    Built by the ``td-*`` factories, and by ``create_engine("snapshot:<dir>")``
+    around an index loaded from a snapshot.
 
     Lazy path reconstruction re-runs the query, so it is only valid while the
     index still answers like it did at query time: every ``update_edges``
@@ -227,9 +209,7 @@ class TDTreeEngine(EngineAdapter):
         super().__init__(index, name)
         #: Bumped whenever an update changes query answers (see query()).
         self._epoch = 0
-        register = getattr(index, "register_invalidation_hook", None)
-        if register is not None:
-            register(_WeakEpochHook(self, index))
+        index.register_invalidation_hook(_WeakEpochHook(self, index))
 
     def query(
         self,
@@ -317,7 +297,7 @@ class TDTreeEngine(EngineAdapter):
     def _scalar_path(self, source: int, target: int, departure: float) -> list[int]:
         return self.index._query(source, target, departure, need_path=True).path()
 
-    def statistics(self) -> Any:
+    def statistics(self) -> IndexStatistics:
         """Index statistics (:class:`~repro.core.index.IndexStatistics`)."""
         return self.index.statistics()
 
@@ -328,14 +308,6 @@ class TDTreeEngine(EngineAdapter):
 
     def unregister_invalidation_hook(self, hook: Callable[[], None]) -> None:
         self.index.unregister_invalidation_hook(hook)
-
-    @classmethod
-    def build(cls, graph: TDGraph, **options: Any) -> "TDTreeEngine":
-        """Build from scratch; ``strategy`` selects the td-* configuration."""
-        strategy = str(options.pop("strategy", "approx"))
-        name = str(options.pop("name", f"td-{'appro' if strategy == 'approx' else strategy}"))
-        index = TDTreeIndex._build(graph, strategy=strategy, **options)
-        return cls(index, name=name)
 
 
 # ----------------------------------------------------------------------
@@ -389,11 +361,6 @@ class TDDijkstraEngine(_GraphSearchEngine):
             ),
         )
 
-    @classmethod
-    def build(cls, graph: TDGraph, **options: Any) -> "TDDijkstraEngine":
-        name = str(options.pop("name", "td-dijkstra"))
-        return cls(TDDijkstra(graph), name=name)
-
 
 class TDAStarEngine(_GraphSearchEngine):
     """Goal-directed A* (exact); heuristic chosen at build time."""
@@ -401,11 +368,6 @@ class TDAStarEngine(_GraphSearchEngine):
     CAPABILITIES = EngineCapabilities(profile=False, batch=False, update=False, paths=True)
 
     index: TDAStar
-
-    @classmethod
-    def build(cls, graph: TDGraph, **options: Any) -> "TDAStarEngine":
-        name = str(options.pop("name", "td-astar"))
-        return cls(TDAStar.build(graph, **options), name=name)
 
 
 class TDGTreeEngine(EngineAdapter):
@@ -437,11 +399,6 @@ class TDGTreeEngine(EngineAdapter):
         return RouteProfile(
             engine=self.name, source=source, target=target, function=function
         )
-
-    @classmethod
-    def build(cls, graph: TDGraph, **options: Any) -> "TDGTreeEngine":
-        name = str(options.pop("name", "tdg-tree"))
-        return cls(TDGTree.build(graph, **options), name=name)
 
 
 # ----------------------------------------------------------------------
@@ -594,15 +551,15 @@ def build_td_h2h(
     use_batch_kernels: bool = True,
 ) -> Engine:
     """Build the TD-H2H baseline (same labels as ``td-full``, 16-point cap)."""
-    index = TDH2H._build(
+    return _td_tree_factory(
         graph,
+        name="td-h2h",
         strategy="full",
         max_points=max_points,
         tolerance=tolerance,
         validate=validate,
         use_batch_kernels=use_batch_kernels,
     )
-    return TDTreeEngine(index, name="td-h2h")
 
 
 @register_engine(

@@ -12,9 +12,7 @@ itself covers the built surface: ``query`` and ``capabilities`` are
 mandatory, ``profile`` / ``batch_query`` / ``update_edges`` are present on
 every engine but advertised via :class:`~repro.api.EngineCapabilities`
 flags and raise :class:`~repro.exceptions.UnsupportedCapabilityError` when
-unadvertised.  Engine classes conventionally also expose a ``build``
-classmethod (``Engine.build(graph, **options)``) that mirrors their
-registered factory.
+unadvertised.
 """
 
 from __future__ import annotations
@@ -30,28 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.td_graph import TDGraph
     from repro.utils.memory import MemoryBreakdown
 
-__all__ = ["Engine", "engine_supports"]
-
-
-def engine_supports(engine: object, capability: str) -> bool:
-    """True when ``engine`` advertises ``capability`` (profile/batch/...).
-
-    The single place encoding the engine-vs-legacy probe: objects exposing
-    ``capabilities()`` are asked; anything else (a bare
-    :class:`~repro.core.index.TDTreeIndex` or third-party lookalike that
-    predates the flags) falls back to attribute probing.  Both the serving
-    layer and the experiment runners route through this helper so the two
-    can never disagree about what an object supports.
-    """
-    capabilities = getattr(engine, "capabilities", None)
-    if callable(capabilities):
-        return bool(getattr(capabilities(), capability, False))
-    legacy_attr = {
-        "profile": "profile",
-        "batch": "batch_query",
-        "update": "update_edges",
-    }
-    return hasattr(engine, legacy_attr.get(capability, capability))
+__all__ = ["Engine"]
 
 
 @runtime_checkable

@@ -6,8 +6,10 @@
   landmark lower bounds.
 * :mod:`repro.baselines.tdg_tree` — TD-G-tree, the hierarchical-partition
   index of Wang et al. (VLDB'19).
-* :mod:`repro.baselines.td_h2h` — TD-H2H, the tree decomposition with all
-  shortcuts materialised.
+
+TD-H2H, the tree decomposition with all shortcuts materialised, is the
+``strategy="full"`` configuration of :class:`~repro.core.index.TDTreeIndex`
+and is built as the ``td-h2h`` engine (``create_engine("td-h2h", graph)``).
 """
 
 from repro.baselines.td_astar import (
@@ -23,7 +25,6 @@ from repro.baselines.td_dijkstra import (
     one_to_all,
     profile_search,
 )
-from repro.baselines.td_h2h import TDH2H, build_td_h2h
 from repro.baselines.tdg_tree import GTreeNode, GTreeResult, TDGTree
 
 __all__ = [
@@ -39,6 +40,4 @@ __all__ = [
     "TDGTree",
     "GTreeNode",
     "GTreeResult",
-    "TDH2H",
-    "build_td_h2h",
 ]

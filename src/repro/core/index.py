@@ -1,4 +1,4 @@
-"""The public index facade: :class:`TDTreeIndex`.
+"""The index behind the ``td-*`` engines: :class:`TDTreeIndex`.
 
 A :class:`TDTreeIndex` bundles the TFP tree decomposition, the (optionally
 selected) shortcuts and the query algorithms behind one object with four
@@ -23,8 +23,7 @@ from repro.exceptions import IndexBuildError, IndexNotBuiltError, SelectionError
 from repro.functions.piecewise import PiecewiseLinearFunction
 from repro.graph.td_graph import TDGraph
 from repro.graph.validation import validate_graph
-from repro.obs.metrics import Gauge, get_registry
-from repro.utils.deprecation import warn_deprecated
+from repro.obs.metrics import get_registry
 from repro.utils.memory import DEFAULT_MEMORY_MODEL, MemoryBreakdown, MemoryModel
 from repro.utils.timing import Timer
 from repro.core.query import (
@@ -145,34 +144,6 @@ class IndexStatistics:
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
-    def build_seconds(self) -> dict[str, float]:
-        """Deprecated alias for :attr:`phase_seconds`.
-
-        Reads the ``repro_build_phase_seconds`` gauges back from the process
-        metrics registry (which the build published into); falls back to the
-        locally captured :attr:`phase_seconds` when the registry holds no
-        samples for this strategy (e.g. a test swapped in a fresh registry).
-        Registry gauges are last-build-wins per strategy — new code should
-        read :attr:`phase_seconds` for *this* build's timings.
-        """
-        warn_deprecated(
-            "IndexStatistics.build_seconds",
-            "IndexStatistics.build_seconds is deprecated; read phase_seconds "
-            "(or the repro_build_phase_seconds gauges exported by repro.obs) "
-            "instead",
-        )
-        gauge = get_registry().get("repro_build_phase_seconds")
-        if isinstance(gauge, Gauge) and gauge.labelnames == ("phase", "strategy"):
-            published = {
-                key[0]: value
-                for key, value in gauge.items()
-                if key[1] == self.strategy
-            }
-            if published:
-                return published
-        return dict(self.phase_seconds)
-
-    @property
     def total_build_seconds(self) -> float:
         return sum(v for k, v in self.phase_seconds.items() if "/" not in k)
 
@@ -180,19 +151,19 @@ class IndexStatistics:
 class TDTreeIndex:
     """Time-dependent shortest-path index with selected shortcuts.
 
-    Use :meth:`build` to construct an index; the constructor itself only wires
-    pre-built components together (which is what the update machinery and the
-    tests use).
+    Indexes are built through the engine registry, which wraps them in a
+    :class:`~repro.api.TDTreeEngine`; the constructor itself only wires
+    pre-built components together (which is what :meth:`_build`, the update
+    machinery and the snapshot loader use).
 
     Examples
     --------
-    >>> from repro import TDTreeIndex
+    >>> from repro.api import create_engine
     >>> from repro.graph import grid_network
     >>> graph = grid_network(4, 4, seed=7)
-    >>> index = TDTreeIndex.build(graph, strategy="approx", budget_fraction=0.4)
-    >>> result = index.query(0, 15, departure=8 * 3600)
-    >>> result.cost > 0
-    True
+    >>> engine = create_engine("td-appro?budget_fraction=0.4", graph)
+    >>> engine.index.strategy, engine.query(0, 15, departure=8 * 3600).cost > 0
+    ('approx', True)
     """
 
     def __init__(
@@ -226,45 +197,6 @@ class TDTreeIndex:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def build(
-        cls,
-        graph: TDGraph,
-        *,
-        strategy: str = "approx",
-        budget: int | None = None,
-        budget_fraction: float | None = None,
-        max_points: int | None = 32,
-        tolerance: float = 0.0,
-        validate: bool = True,
-        use_batch_kernels: bool = True,
-    ) -> "TDTreeIndex":
-        """Deprecated string-dispatch builder; use :func:`repro.api.create_engine`.
-
-        ``TDTreeIndex.build(graph, strategy="approx", ...)`` is the pre-
-        ``repro.api`` entry point.  It keeps working unchanged (delegating to
-        the same internal builder the registry engines use) but emits one
-        :class:`DeprecationWarning` per process; new code should build
-        engines through the registry::
-
-            engine = repro.api.create_engine("td-appro?budget_fraction=0.3", graph)
-        """
-        warn_deprecated(
-            "TDTreeIndex.build",
-            "TDTreeIndex.build(strategy=...) is deprecated; build engines "
-            'via repro.api.create_engine("td-appro", graph) instead',
-        )
-        return cls._build(
-            graph,
-            strategy=strategy,
-            budget=budget,
-            budget_fraction=budget_fraction,
-            max_points=max_points,
-            tolerance=tolerance,
-            validate=validate,
-            use_batch_kernels=use_batch_kernels,
-        )
-
     @classmethod
     def _build(
         cls,
@@ -385,28 +317,6 @@ class TDTreeIndex:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def query(
-        self,
-        source: int,
-        target: int,
-        departure: float,
-        *,
-        need_path: bool = False,
-    ) -> EarliestArrivalResult:
-        """Deprecated scalar query entry point; use a :mod:`repro.api` engine.
-
-        Behaves exactly like before (and keeps doing so), emitting one
-        :class:`DeprecationWarning` per process.  New code::
-
-            route = engine.query(source, target, departure)
-        """
-        warn_deprecated(
-            "TDTreeIndex.query",
-            "TDTreeIndex.query is deprecated; query through a repro.api "
-            "engine (create_engine(...).query(...)) instead",
-        )
-        return self._query(source, target, departure, need_path=need_path)
-
     def _query(
         self,
         source: int,
@@ -441,24 +351,11 @@ class TDTreeIndex:
             self.tree, source, target, departure, record_hops=need_path
         )
 
-    def batch_query(self, sources, targets, departures) -> BatchQueryResult:
-        """Deprecated batch entry point; use ``engine.batch_query`` instead.
-
-        Behaves exactly like before, emitting one :class:`DeprecationWarning`
-        per process.
-        """
-        warn_deprecated(
-            "TDTreeIndex.batch_query",
-            "TDTreeIndex.batch_query is deprecated; use a repro.api engine's "
-            "batch_query (returns a RouteMatrix with lazy paths) instead",
-        )
-        return self._batch_query(sources, targets, departures)
-
     def _batch_query(self, sources, targets, departures) -> BatchQueryResult:
         """Answer many scalar travel-cost queries in one vectorized pass.
 
         ``sources``/``targets``/``departures`` are aligned arrays (one query
-        per row).  The costs are bit-identical to calling :meth:`query` in a
+        per row).  The costs are bit-identical to calling :meth:`_query` in a
         loop — the batch engine only amortises the per-function Python
         overhead of the tree sweeps — which makes this the right entry point
         for serving batched query traffic and for the throughput benchmarks.
@@ -472,19 +369,6 @@ class TDTreeIndex:
             shortcuts=self.shortcuts if self.shortcuts else None,
             cache=self._batch_query_cache,
         )
-
-    def profile(self, source: int, target: int) -> ProfileResult:
-        """Deprecated profile entry point; use ``engine.profile`` instead.
-
-        Behaves exactly like before, emitting one :class:`DeprecationWarning`
-        per process.
-        """
-        warn_deprecated(
-            "TDTreeIndex.profile",
-            "TDTreeIndex.profile is deprecated; use a repro.api engine's "
-            "profile (returns a RouteProfile) instead",
-        )
-        return self._profile(source, target)
 
     def _profile(self, source: int, target: int) -> ProfileResult:
         """Shortest travel cost function query: the whole profile ``f_{s,d}(t)``."""
@@ -500,16 +384,8 @@ class TDTreeIndex:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def update_edge(
-        self, source: int, target: int, weight: PiecewiseLinearFunction
-    ):
-        """Update a single edge weight; see :func:`repro.core.update.apply_edge_updates`."""
-        from repro.core.update import apply_edge_updates
-
-        return apply_edge_updates(self, {(source, target): weight})
-
     def update_edges(self, changes: dict[tuple[int, int], PiecewiseLinearFunction]):
-        """Update several edge weights at once (Fig. 10 experiment)."""
+        """Update edge weights in place; see :func:`repro.core.update.apply_edge_updates`."""
         from repro.core.update import apply_edge_updates
 
         return apply_edge_updates(self, changes)
@@ -561,7 +437,7 @@ class TDTreeIndex:
 
         The loaded index is bit-identical to the saved one for every query
         flavour, and loading skips decomposition/selection entirely — one to
-        two orders of magnitude cheaper than :meth:`build`.
+        two orders of magnitude cheaper than :meth:`_build`.
 
         ``mmap_mode="r"`` (or ``"c"`` for copy-on-write) memory-maps the
         snapshot's array buffers instead of copying them onto the heap, so

@@ -46,7 +46,6 @@ from repro.functions.piecewise import NO_VIA, PiecewiseLinearFunction
 from repro.functions.profile import best_departure as _best_departure
 from repro.functions.simplify import simplify
 from repro.core.tree_decomposition import TFPTreeDecomposition
-from repro.utils.deprecation import warn_deprecated
 
 __all__ = [
     "EarliestArrivalResult",
@@ -131,23 +130,13 @@ class ProfileResult:
         """Evaluate the profile at one departure time."""
         return float(self.function.evaluate(departure))
 
-    def best_departure(
-        self, start: float, end: float, samples: int | None = None
-    ) -> tuple[float, float]:
+    def best_departure(self, start: float, end: float) -> tuple[float, float]:
         """Return the exact ``(departure, cost)`` minimising the cost in a window.
 
         The minimum of a piecewise-linear profile over ``[start, end]`` lies
         at a breakpoint or a window endpoint, so exactly those candidates are
-        evaluated.  ``samples`` is deprecated and ignored: the result no
-        longer depends on a sampling grid.
+        evaluated.
         """
-        if samples is not None:
-            warn_deprecated(
-                "ProfileResult.best_departure(samples=...)",
-                "the samples parameter of best_departure is deprecated and "
-                "ignored: the minimum is now computed exactly from the "
-                "profile's breakpoints",
-            )
         return _best_departure(self.function, start, end)
 
 

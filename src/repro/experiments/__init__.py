@@ -5,7 +5,6 @@ from repro.experiments.metrics import (
     BuildMeasurement,
     QueryMeasurement,
     build_method,
-    engine_supports,
     measure_build,
     measure_cost_queries,
     measure_cost_queries_batch,
@@ -30,7 +29,6 @@ __all__ = [
     "BuildMeasurement",
     "QueryMeasurement",
     "build_method",
-    "engine_supports",
     "measure_build",
     "measure_cost_queries",
     "measure_cost_queries_batch",

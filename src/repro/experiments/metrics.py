@@ -21,13 +21,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.api import (
-    Engine,
-    EngineEntry,
-    create_engine,
-    engine_supports,
-    registered_engines,
-)
+from repro.api import Engine, EngineEntry, create_engine, registered_engines
 from repro.datasets.queries import Query
 from repro.exceptions import DatasetError
 from repro.graph.td_graph import TDGraph
@@ -37,7 +31,6 @@ __all__ = [
     "BuildMeasurement",
     "QueryMeasurement",
     "build_method",
-    "engine_supports",
     "measure_build",
     "measure_cost_queries",
     "measure_cost_queries_batch",
@@ -119,11 +112,6 @@ class _MethodTable(Mapping[str, Callable[..., Engine]]):
 METHODS: Mapping[str, Callable[..., Engine]] = _MethodTable()
 
 
-# engine_supports is imported above and re-exported via __all__: the
-# implementation lives next to the Engine protocol (repro.api.engine) so the
-# serving layer and the experiment runners share one capability probe.
-
-
 @dataclass
 class BuildMeasurement:
     """Construction time and memory of one built index."""
@@ -168,13 +156,12 @@ def measure_build(
     started = time.perf_counter()
     index = build_method(name, graph, **kwargs)
     seconds = time.perf_counter() - started
-    memory = index.memory_breakdown().total_megabytes if hasattr(index, "memory_breakdown") else 0.0
     return BuildMeasurement(
         method=name,
         dataset=dataset,
         num_points=num_points,
         build_seconds=seconds,
-        memory_mb=memory,
+        memory_mb=index.memory_breakdown().total_megabytes,
         index=index,
     )
 
@@ -214,7 +201,7 @@ def measure_cost_queries_batch(
 ) -> QueryMeasurement:
     """Latency of the same scalar workload served through the batch API.
 
-    The whole workload is submitted as one :meth:`TDTreeIndex.batch_query`
+    The whole workload is submitted as one :meth:`repro.api.Engine.batch_query`
     call (the serving pattern the batch engine exists for); the reported
     ``mean_ms`` is the amortised per-query latency, directly comparable to
     :func:`measure_cost_queries`.  A warm-up call is made first so the

@@ -28,7 +28,6 @@ from repro.datasets.catalog import get_spec, load_dataset
 from repro.datasets.queries import generate_pairs, generate_queries
 from repro.experiments.metrics import (
     BuildMeasurement,
-    engine_supports,
     measure_build,
     measure_cost_queries,
     measure_cost_queries_batch,
@@ -113,7 +112,7 @@ def run_table2(
                 "scaled_edges": stats.num_edges,
                 "treeheight": stats.treeheight,
                 "treewidth": stats.treewidth,
-                "scaled_budget_N": catalog_build.index.selection.budget,
+                "scaled_budget_N": catalog_build.index.statistics().budget,
             }
         )
     return rows
@@ -164,7 +163,7 @@ def _method_summary_rows(
         cost = measure_cost_queries(
             build.index, workload, method=method, dataset=dataset, num_points=num_points
         )
-        if engine_supports(build.index, "profile"):
+        if build.index.capabilities().profile:
             profile = measure_profile_queries(
                 build.index, pairs, method=method, dataset=dataset, num_points=num_points
             )
@@ -249,7 +248,7 @@ def run_fig8(
     ``methods=None`` applies that same split automatically.
 
     Methods exposing the batch API additionally serve the same workload
-    through one :meth:`TDTreeIndex.batch_query` call; the amortised per-query
+    through one :meth:`repro.api.Engine.batch_query` call; the amortised per-query
     latency and the speedup over the per-call loop are reported in the
     ``batch_cost_query_ms`` / ``batch_speedup`` columns.
     """
@@ -282,13 +281,13 @@ def run_fig8(
                 cost = measure_cost_queries(build.index, workload)
                 batch_ms: float | str = "N/A"
                 speedup: float | str = "N/A"
-                if engine_supports(build.index, "batch"):
+                if build.index.capabilities().batch:
                     batch = measure_cost_queries_batch(build.index, workload)
                     batch_ms = batch.mean_ms
                     if batch.mean_ms > 0:
                         speedup = cost.mean_ms / batch.mean_ms
                 profile_ms: float | str = "N/A"
-                if engine_supports(build.index, "profile"):
+                if build.index.capabilities().profile:
                     profile_ms = measure_profile_queries(build.index, pairs).mean_ms
                 rows.append(
                     {
@@ -420,15 +419,16 @@ def run_fig11(
         )
         cost = measure_cost_queries(build.index, workload)
         profile = measure_profile_queries(build.index, pairs)
+        stats = build.index.statistics()
         rows.append(
             {
                 "dataset": dataset,
                 "budget_fraction": fraction,
-                "budget_N": build.index.selection.budget,
+                "budget_N": stats.budget,
                 "cost_query_ms": cost.mean_ms,
                 "profile_query_ms": profile.mean_ms,
                 "memory_mb": build.memory_mb,
-                "selected_pairs": len(build.index.shortcuts),
+                "selected_pairs": stats.num_selected_pairs,
             }
         )
     return rows

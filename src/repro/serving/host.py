@@ -646,8 +646,6 @@ class EngineHost:
             capability (e.g. a multi-process replica pool — patch a clone
             and :meth:`swap` instead).
         """
-        from repro.api import engine_supports
-
         deployment = self._get(name)
         with deployment.swap_lock:
             with self._lock:
@@ -655,7 +653,7 @@ class EngineHost:
                 if self._deployments.get(name) is not deployment:
                     raise UnknownDeploymentError(name, tuple(self._deployments))
                 engine = deployment.engine
-            if not engine_supports(engine, "update"):
+            if not engine.capabilities().update:
                 raise UnsupportedCapabilityError(
                     str(getattr(engine, "name", deployment.spec)), "update"
                 )

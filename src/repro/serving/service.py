@@ -24,8 +24,7 @@ scalar-query loop, so the same micro-batching front-end — same futures,
 cache, invalidation and stats — can A/B-compare a baseline against the index
 under identical traffic.  Either way answers are bit-identical to calling the
 engine's scalar ``query`` per request — micro-batching changes throughput and
-latency, never results.  A bare :class:`~repro.core.index.TDTreeIndex` (the
-legacy surface) is still accepted.  With ``bucket_seconds > 0`` a cache hit
+latency, never results.  With ``bucket_seconds > 0`` a cache hit
 may return the cost of an earlier departure from the same bucket; pick the
 bucket width from the answer tolerance your traffic allows (0 keeps the
 service exact).
@@ -419,18 +418,14 @@ def _flusher_main(service_ref: "weakref.ref[QueryService]") -> None:
 
 
 def _resolve_compute(index: Any) -> tuple[Optional[BatchCompute], ScalarCompute]:
-    """Pick the batch/scalar cost paths for whatever was handed in.
+    """Pick the engine's batch/scalar cost paths.
 
     Returns ``(batch_fn, scalar_fn)`` where ``batch_fn(sources, targets,
     departures) -> costs`` is ``None`` when the engine advertises no batch
-    capability (the service then loop-flushes through ``scalar_fn``).  The
-    engine-vs-legacy detection is :func:`repro.api.engine_supports`, shared
-    with the experiment runners.
+    capability (the service then loop-flushes through ``scalar_fn``).
     """
-    from repro.api import engine_supports
-
     scalar = lambda s, t, d: float(index.query(s, t, d).cost)  # noqa: E731
-    if not engine_supports(index, "batch"):
+    if not index.capabilities().batch:
         return None, scalar
     return (lambda s, t, d: index.batch_query(s, t, d).costs), scalar
 
@@ -509,8 +504,7 @@ class QueryService:
     index:
         Any :class:`repro.api.Engine` (batched or not — engines without the
         ``batch`` capability are served through a scalar-query loop per
-        flush), or a bare built :class:`~repro.core.index.TDTreeIndex`
-        (legacy surface).  When the engine exposes the invalidation-hook
+        flush).  When the engine exposes the invalidation-hook
         registry the result cache is wired into index updates.
     max_batch_size:
         Flush as soon as this many queries are pending.  The submitting

@@ -189,9 +189,7 @@ class ServiceStats:
         """An all-zero snapshot with (zeroed) bucket counts.
 
         What a spawned-but-unqueried (or dead) replica contributes to a
-        pool-wide merge: carrying the full-length zero bucket tuple keeps
-        the merged percentiles on the exact histogram path instead of
-        tripping the legacy weighted fallback.
+        pool-wide merge, and what merging no snapshots at all returns.
         """
         return cls(
             0, 0, 0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -210,17 +208,15 @@ class ServiceStats:
         time; ``cache_entries`` reflects the *last* part (the live cache —
         retired caches are gone).
 
-        Latency percentiles are merged from the shared histogram buckets
-        when every part carries them: bucket counts add exactly across
-        generations, so the merged p50/p95/p99 are true percentiles of the
-        combined distribution (to bucket resolution).  Percentiles are *not*
-        averageable — a weighted mean of per-part p99s can produce a value no
-        generation ever saw, or one below a part's own p95 — so the old
-        answered-weighted mean survives only as a fallback for legacy
-        snapshots without bucket counts.
+        Latency percentiles are merged from the shared histogram buckets,
+        which every answering snapshot carries: bucket counts add exactly
+        across generations, so the merged p50/p95/p99 are true percentiles
+        of the combined distribution (to bucket resolution).  Percentiles
+        are *not* averageable — a weighted mean of per-part p99s can produce
+        a value no generation ever saw, or one below a part's own p95.
         """
         if not parts:
-            return cls(0, 0, 0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+            return cls.empty()
         if len(parts) == 1:
             return replace(parts[0])
         num_batches = sum(p.num_batches for p in parts)
@@ -228,30 +224,14 @@ class ServiceStats:
         answered = sum(p.queries_answered for p in parts)
         elapsed = sum(p.elapsed_seconds for p in parts)
 
-        def _weighted(field: str) -> float:
-            if answered == 0:
-                return 0.0
-            total = sum(getattr(p, field) * p.queries_answered for p in parts)
-            return float(total / answered)
-
-        n_slots = len(LATENCY_BUCKETS_MS) + 1
         counted = [p for p in parts if p.queries_answered > 0]
-        mergeable = bool(counted) and all(
-            len(p.latency_bucket_counts) == n_slots for p in counted
+        merged_counts = tuple(
+            sum(p.latency_bucket_counts[i] for p in counted)
+            for i in range(len(LATENCY_BUCKETS_MS) + 1)
         )
-        if mergeable:
-            merged_counts = tuple(
-                sum(p.latency_bucket_counts[i] for p in counted)
-                for i in range(n_slots)
-            )
-            p50 = bucket_percentile(LATENCY_BUCKETS_MS, merged_counts, 50.0)
-            p95 = bucket_percentile(LATENCY_BUCKETS_MS, merged_counts, 95.0)
-            p99 = bucket_percentile(LATENCY_BUCKETS_MS, merged_counts, 99.0)
-        else:
-            merged_counts = ()
-            p50 = _weighted("p50_latency_ms")
-            p95 = _weighted("p95_latency_ms")
-            p99 = _weighted("p99_latency_ms")
+        p50 = bucket_percentile(LATENCY_BUCKETS_MS, merged_counts, 50.0)
+        p95 = bucket_percentile(LATENCY_BUCKETS_MS, merged_counts, 95.0)
+        p99 = bucket_percentile(LATENCY_BUCKETS_MS, merged_counts, 99.0)
 
         occupancy = (
             sum(p.batch_occupancy * p.num_batches for p in parts) / num_batches

@@ -459,11 +459,9 @@ class TrafficController:
 
     def _downgrade_locked(self, decision: PolicyDecision) -> PolicyDecision:
         """Swap out actions the deployment cannot actually execute."""
-        from repro.api import engine_supports
-
         if decision.action == ACTION_PATCH:
             engine = self._host.deployment(self._deployment).engine
-            if not engine_supports(engine, "update"):
+            if not engine.capabilities().update:
                 return PolicyDecision(
                     ACTION_CLONE_SWAP,
                     decision.reason

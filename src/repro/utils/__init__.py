@@ -1,6 +1,5 @@
-"""Generic utilities: LCA queries, timing, deprecation, and the memory model."""
+"""Generic utilities: LCA queries, timing, and the memory model."""
 
-from repro.utils.deprecation import reset_deprecation_warnings, warn_deprecated
 from repro.utils.lca import LCAIndex
 from repro.utils.memory import DEFAULT_MEMORY_MODEL, MemoryBreakdown, MemoryModel
 from repro.utils.timing import (
@@ -25,6 +24,4 @@ __all__ = [
     "Stopwatch",
     "Timer",
     "time_call",
-    "warn_deprecated",
-    "reset_deprecation_warnings",
 ]

@@ -13,7 +13,6 @@ import repro.api
 API_ALL_SNAPSHOT = sorted(
     [
         "Engine",
-        "engine_supports",
         "EngineCapabilities",
         "Route",
         "RouteMatrix",

@@ -4,31 +4,32 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import TDH2H, build_td_h2h, earliest_arrival
-from repro.core import TDTreeIndex
+from repro import create_engine
+from repro.api import TDTreeEngine
+from repro.baselines import earliest_arrival
 
 
 @pytest.fixture(scope="module")
 def h2h(request):
     small_grid = request.getfixturevalue("small_grid")
-    return TDH2H.build(small_grid, max_points=None)
+    return create_engine("td-h2h?max_points=none", small_grid)
 
 
 class TestConstruction:
     def test_is_a_full_strategy_index(self, h2h):
-        assert isinstance(h2h, TDTreeIndex)
-        assert h2h.strategy == "full"
+        assert h2h.index.strategy == "full"
         stats = h2h.statistics()
         assert stats.num_selected_pairs == stats.num_candidate_pairs
 
     def test_helper_function(self, small_grid):
-        index = build_td_h2h(small_grid, max_points=8)
-        assert isinstance(index, TDH2H)
+        engine = create_engine("td-h2h?max_points=8", small_grid)
+        assert isinstance(engine, TDTreeEngine)
+        assert engine.name == "td-h2h" and engine.index.max_points == 8
 
     def test_largest_memory_footprint(self, small_grid, h2h):
-        basic = TDTreeIndex.build(small_grid, strategy="basic", max_points=None)
-        approx = TDTreeIndex.build(
-            small_grid, strategy="approx", budget_fraction=0.3, max_points=None
+        basic = create_engine("td-basic?max_points=none", small_grid)
+        approx = create_engine(
+            "td-appro?budget_fraction=0.3&max_points=none", small_grid
         )
         assert (
             h2h.memory_breakdown().total_bytes
@@ -47,4 +48,5 @@ class TestQueries:
 
     def test_all_queries_take_the_fast_path(self, h2h, random_od_pairs):
         for source, target, departure in random_od_pairs[:10]:
-            assert h2h.query(source, target, departure).strategy == "full_shortcuts"
+            result = h2h.index._query(source, target, departure)
+            assert result.strategy == "full_shortcuts"

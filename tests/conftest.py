@@ -3,7 +3,9 @@
 The expensive objects (generated road networks and built indexes) are session
 scoped: they are deterministic, read-only in the tests that use them, and
 building them once keeps the whole suite fast.  Tests that mutate an index
-(e.g. the update tests) build their own private copies.
+(e.g. the update tests) build their own private copies.  The index fixtures
+are ``td-*`` engines; tests reaching for internals read ``engine.index``
+(``.tree``, ``.shortcuts``, ...).
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from repro import TDGraph, TDTreeIndex
+from repro import TDGraph, create_engine
+from repro.api import TDTreeEngine
 
 # ----------------------------------------------------------------------
 # Hypothesis profiles
@@ -99,31 +102,27 @@ def small_tree(small_grid):
 
 
 @pytest.fixture(scope="session")
-def basic_index(small_grid) -> TDTreeIndex:
+def basic_index(small_grid) -> TDTreeEngine:
     """TD-basic over the small grid, exact functions."""
-    return TDTreeIndex.build(small_grid, strategy="basic", max_points=None)
+    return create_engine("td-basic?max_points=none", small_grid)
 
 
 @pytest.fixture(scope="session")
-def full_index(small_grid) -> TDTreeIndex:
-    """TD-H2H (all shortcuts) over the small grid, exact functions."""
-    return TDTreeIndex.build(small_grid, strategy="full", max_points=None)
+def full_index(small_grid) -> TDTreeEngine:
+    """All shortcuts over the small grid, exact functions."""
+    return create_engine("td-full?max_points=none", small_grid)
 
 
 @pytest.fixture(scope="session")
-def approx_index(small_grid) -> TDTreeIndex:
+def approx_index(small_grid) -> TDTreeEngine:
     """TD-appro over the small grid with a 40% budget and capped functions."""
-    return TDTreeIndex.build(
-        small_grid, strategy="approx", budget_fraction=0.4, max_points=16
-    )
+    return create_engine("td-appro?budget_fraction=0.4&max_points=16", small_grid)
 
 
 @pytest.fixture(scope="session")
-def dp_index(small_grid) -> TDTreeIndex:
+def dp_index(small_grid) -> TDTreeEngine:
     """TD-dp over the small grid with a 40% budget and capped functions."""
-    return TDTreeIndex.build(
-        small_grid, strategy="dp", budget_fraction=0.4, max_points=16
-    )
+    return create_engine("td-dp?budget_fraction=0.4&max_points=16", small_grid)
 
 
 @pytest.fixture(scope="session")

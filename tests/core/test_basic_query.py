@@ -115,7 +115,7 @@ class TestProfileQueriesAgainstProfileSearch:
 
     def test_best_departure_is_minimum(self, small_tree):
         profile = basic_profile_query(small_tree, 0, 24)
-        departure, cost = profile.best_departure(0.0, 86_400.0, samples=300)
+        departure, cost = profile.best_departure(0.0, 86_400.0)
         grid = np.linspace(0.0, 86_400.0, 300)
         assert cost <= float(np.min(profile.function.evaluate(grid))) + 1e-9
         assert 0.0 <= departure <= 86_400.0

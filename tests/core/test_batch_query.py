@@ -16,7 +16,7 @@ from repro.core.query import basic_cost_query, batch_cost_query, shortcut_cost_q
 from repro.core.shortcuts import build_shortcut_catalog
 from repro.exceptions import DisconnectedQueryError, VertexNotFoundError
 from repro.functions import PiecewiseLinearFunction
-from repro import TDGraph, TDTreeIndex
+from repro import TDGraph, create_engine
 
 
 def _workload(graph, count=60, seed=123):
@@ -33,10 +33,10 @@ def _workload(graph, count=60, seed=123):
 # ----------------------------------------------------------------------
 def test_batch_matches_basic_loop(basic_index):
     sources, targets, departures = _workload(basic_index.graph)
-    result = basic_index.batch_query(sources, targets, departures)
+    result = basic_index.index._batch_query(sources, targets, departures)
     expected = np.array(
         [
-            basic_cost_query(basic_index.tree, int(s), int(t), float(d)).cost
+            basic_cost_query(basic_index.index.tree, int(s), int(t), float(d)).cost
             for s, t, d in zip(sources, targets, departures)
         ]
     )
@@ -47,11 +47,11 @@ def test_batch_matches_basic_loop(basic_index):
 
 def test_batch_matches_full_shortcut_loop(full_index):
     sources, targets, departures = _workload(full_index.graph, seed=5)
-    result = full_index.batch_query(sources, targets, departures)
+    result = full_index.index._batch_query(sources, targets, departures)
     expected = np.array(
         [
             shortcut_cost_query(
-                full_index.tree, full_index.shortcuts, int(s), int(t), float(d)
+                full_index.index.tree, full_index.index.shortcuts, int(s), int(t), float(d)
             ).cost
             for s, t, d in zip(sources, targets, departures)
         ]
@@ -79,7 +79,7 @@ def test_batch_repeated_calls_use_cache(approx_index):
     first = approx_index.batch_query(sources, targets, departures)
     again = approx_index.batch_query(sources, targets, departures)
     assert np.array_equal(first.costs, again.costs)
-    assert approx_index._batch_query_cache  # per-pair memo populated
+    assert approx_index.index._batch_query_cache  # per-pair memo populated
 
 
 def test_batch_same_vertex_queries_are_zero(basic_index):
@@ -102,21 +102,21 @@ def test_batch_raises_on_disconnected_queries():
     graph = TDGraph()
     graph.add_bidirectional_edge(0, 1, PiecewiseLinearFunction.constant(10.0))
     graph.add_bidirectional_edge(2, 3, PiecewiseLinearFunction.constant(10.0))
-    index = TDTreeIndex.build(graph, strategy="basic", validate=False)
+    engine = create_engine("td-basic?validate=false", graph)
     with pytest.raises(DisconnectedQueryError):
-        index.batch_query([0], [3], [0.0])
+        engine.batch_query([0], [3], [0.0])
 
 
 def test_restricted_sweep_plan_matches_global(basic_index, approx_index, monkeypatch):
     """Large-tree mode (union-restricted sweep plans) must not change results."""
     import repro.core.query as query_module
 
-    for index in (basic_index, approx_index):
-        sources, targets, departures = _workload(index.graph, count=40, seed=21)
-        expected = index.batch_query(sources, targets, departures).costs
+    for engine in (basic_index, approx_index):
+        sources, targets, departures = _workload(engine.graph, count=40, seed=21)
+        expected = engine.batch_query(sources, targets, departures).costs
         monkeypatch.setattr(query_module, "_GLOBAL_PLAN_MAX_ROWS", 1)
-        index._batch_query_cache.clear()
-        restricted = index.batch_query(sources, targets, departures).costs
+        engine.index._batch_query_cache.clear()
+        restricted = engine.batch_query(sources, targets, departures).costs
         monkeypatch.undo()
         assert np.array_equal(expected, restricted)
 
@@ -124,7 +124,7 @@ def test_restricted_sweep_plan_matches_global(basic_index, approx_index, monkeyp
 def test_module_level_batch_query_matches_index(basic_index):
     sources, targets, departures = _workload(basic_index.graph, count=15, seed=9)
     via_index = basic_index.batch_query(sources, targets, departures)
-    via_module = batch_cost_query(basic_index.tree, sources, targets, departures)
+    via_module = batch_cost_query(basic_index.index.tree, sources, targets, departures)
     assert np.array_equal(via_index.costs, via_module.costs)
 
 
@@ -160,20 +160,20 @@ def test_batched_catalog_equals_scalar_reference(small_tree, max_points):
 # ----------------------------------------------------------------------
 def test_batch_query_consistent_after_update(small_grid):
     # Private copy: the update below must not leak into the shared fixture.
-    index = TDTreeIndex.build(
-        small_grid.copy(), strategy="approx", budget_fraction=0.4, max_points=16
+    engine = create_engine(
+        "td-appro?budget_fraction=0.4&max_points=16", small_grid.copy()
     )
-    sources, targets, departures = _workload(index.graph, count=30, seed=31)
-    index.batch_query(sources, targets, departures)  # warm every cache
+    sources, targets, departures = _workload(engine.graph, count=30, seed=31)
+    engine.batch_query(sources, targets, departures)  # warm every cache
 
-    edges = list(index.graph.edges())
+    edges = list(engine.graph.edges())
     u, v, weight = edges[0]
-    index.update_edge(u, v, weight.shift(250.0))
+    engine.update_edges({(u, v): weight.shift(250.0)})
 
-    after_batch = index.batch_query(sources, targets, departures)
+    after_batch = engine.batch_query(sources, targets, departures)
     after_loop = np.array(
         [
-            index.query(int(s), int(t), float(d)).cost
+            engine.query(int(s), int(t), float(d)).cost
             for s, t, d in zip(sources, targets, departures)
         ]
     )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro import TDTreeIndex
+from repro import create_engine
 from repro.baselines import earliest_arrival
 from repro.functions import PiecewiseLinearFunction
 from repro.graph import TDGraph, WeightGenerator, validate_graph
@@ -66,17 +66,17 @@ def test_every_strategy_matches_dijkstra_on_random_graphs(
         for _ in range(5)
     ]
 
-    indexes = {
-        "basic": TDTreeIndex.build(graph, strategy="basic", max_points=None, validate=False),
-        "full": TDTreeIndex.build(graph, strategy="full", max_points=None, validate=False),
-        "approx": TDTreeIndex.build(
-            graph, strategy="approx", budget_fraction=0.5, max_points=None, validate=False
+    engines = {
+        "basic": create_engine("td-basic?max_points=none&validate=false", graph),
+        "full": create_engine("td-full?max_points=none&validate=false", graph),
+        "approx": create_engine(
+            "td-appro?budget_fraction=0.5&max_points=none&validate=false", graph
         ),
     }
     for source, target in queries:
         reference = earliest_arrival(graph, source, target, departure)
-        for name, index in indexes.items():
-            result = index.query(source, target, departure)
+        for name, engine in engines.items():
+            result = engine.query(source, target, departure)
             assert result.cost == pytest.approx(reference.cost, rel=1e-6, abs=1e-5), name
 
 
@@ -88,12 +88,12 @@ def test_every_strategy_matches_dijkstra_on_random_graphs(
 def test_profiles_dominate_no_departure_time(num_vertices, seed):
     """The profile query evaluated at any time equals the scalar query there."""
     graph = random_connected_graph(num_vertices, 4, seed)
-    index = TDTreeIndex.build(graph, strategy="full", max_points=None, validate=False)
+    engine = create_engine("td-full?max_points=none&validate=false", graph)
     rng = np.random.default_rng(seed)
     source, target = (int(x) for x in rng.choice(num_vertices, size=2, replace=False))
-    profile = index.profile(source, target)
+    profile = engine.profile(source, target)
     for departure in np.linspace(0.0, 86_400.0, 7):
-        scalar = index.query(source, target, float(departure))
+        scalar = engine.query(source, target, float(departure))
         assert profile.cost_at(float(departure)) == pytest.approx(
             scalar.cost, rel=1e-6, abs=1e-5
         )
@@ -107,8 +107,8 @@ def test_profiles_dominate_no_departure_time(num_vertices, seed):
 )
 def test_updates_keep_index_consistent_with_dijkstra(num_vertices, seed, factor):
     graph = random_connected_graph(num_vertices, 5, seed)
-    index = TDTreeIndex.build(
-        graph, strategy="approx", budget_fraction=0.5, max_points=None, validate=False
+    engine = create_engine(
+        "td-appro?budget_fraction=0.5&max_points=none&validate=false", graph
     )
     rng = np.random.default_rng(seed + 2)
     edges = sorted(graph.edges())
@@ -116,11 +116,11 @@ def test_updates_keep_index_consistent_with_dijkstra(num_vertices, seed, factor)
     new_weight = PiecewiseLinearFunction(
         weight.times, np.maximum(weight.costs * factor, 0.5), validate=False
     )
-    index.update_edges({(u, v): new_weight})
+    engine.update_edges({(u, v): new_weight})
     for _ in range(4):
         source, target = (int(x) for x in rng.choice(num_vertices, size=2, replace=False))
         departure = float(rng.uniform(0, 86_400))
         reference = earliest_arrival(graph, source, target, departure)
-        assert index.query(source, target, departure).cost == pytest.approx(
+        assert engine.query(source, target, departure).cost == pytest.approx(
             reference.cost, rel=1e-6, abs=1e-5
         )

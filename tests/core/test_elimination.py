@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import TDTreeIndex
+from repro import create_engine
 from repro.core import decompose, eliminate_batched, eliminate_scalar
 from repro.core.elimination import FunctionPool
 from repro.datasets import load_dataset
@@ -174,38 +174,34 @@ class TestIndexLevel:
         sources = rng.choice(vertices, size=20)
         targets = rng.choice(vertices, size=20)
         departures = rng.uniform(0.0, 86_400.0, size=20)
-        for strategy in ("basic", "dp", "approx", "full"):
-            scalar_index = TDTreeIndex.build(
-                graph.copy(), strategy=strategy, use_batch_kernels=False
-            )
-            batched_index = TDTreeIndex.build(
-                graph.copy(), strategy=strategy, use_batch_kernels=True
-            )
-            assert_trees_identical(scalar_index.tree, batched_index.tree)
+        for spec in ("td-basic", "td-dp", "td-appro", "td-full"):
+            scalar = create_engine(f"{spec}?use_batch_kernels=false", graph.copy())
+            batched = create_engine(f"{spec}?use_batch_kernels=true", graph.copy())
+            assert_trees_identical(scalar.index.tree, batched.index.tree)
             assert np.array_equal(
-                scalar_index.batch_query(sources, targets, departures).costs,
-                batched_index.batch_query(sources, targets, departures).costs,
+                scalar.batch_query(sources, targets, departures).costs,
+                batched.batch_query(sources, targets, departures).costs,
             )
 
     def test_snapshot_round_trip_of_batched_build(self, tmp_path):
         graph = grid_network(5, 5, num_points=3, seed=3)
-        index = TDTreeIndex.build(graph, strategy="approx", use_batch_kernels=True)
-        directory = index.save(tmp_path / "batched.index")
-        loaded = TDTreeIndex.load(directory)
-        assert_trees_identical(index.tree, loaded.tree)
+        engine = create_engine("td-appro?use_batch_kernels=true", graph)
+        directory = engine.index.save(tmp_path / "batched.index")
+        loaded = create_engine(f"snapshot:{directory}")
+        assert_trees_identical(engine.index.tree, loaded.index.tree)
         rng = np.random.default_rng(11)
         vertices = np.asarray(sorted(graph.vertices()))
         sources = rng.choice(vertices, size=15)
         targets = rng.choice(vertices, size=15)
         departures = rng.uniform(0.0, 86_400.0, size=15)
         assert np.array_equal(
-            index.batch_query(sources, targets, departures).costs,
+            engine.batch_query(sources, targets, departures).costs,
             loaded.batch_query(sources, targets, departures).costs,
         )
 
     def test_build_seconds_include_engine_sub_phases(self):
         graph = grid_network(4, 4, num_points=3, seed=7)
-        stats = TDTreeIndex.build(graph, strategy="basic").statistics()
+        stats = create_engine("td-basic", graph).statistics()
         assert "decomposition" in stats.phase_seconds
         assert "decomposition/assembly" in stats.phase_seconds
         assert "decomposition/kernels" in stats.phase_seconds
@@ -216,14 +212,15 @@ class TestIndexLevel:
 
     def test_updates_after_batched_build(self):
         graph = grid_network(4, 4, num_points=3, seed=7)
-        index = TDTreeIndex.build(graph, strategy="full", use_batch_kernels=True)
+        engine = create_engine("td-full?use_batch_kernels=true", graph)
         source, target, weight = next(iter(graph.edges()))
-        report = index.update_edges(
+        report = engine.update_edges(
             {(source, target): PiecewiseLinearFunction.constant(weight.max_cost * 2)}
         )
         assert report.num_changed_edges == 1
         # The structural contributor table is cached on the tree across calls.
-        assert index.tree.pair_contributors() is index.tree.pair_contributors()
+        tree = engine.index.tree
+        assert tree.pair_contributors() is tree.pair_contributors()
 
 
 # ----------------------------------------------------------------------

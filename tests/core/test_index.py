@@ -1,10 +1,11 @@
-"""Tests for the :class:`TDTreeIndex` facade (build strategies, queries, stats)."""
+"""Tests for :class:`TDTreeIndex` behind the ``td-*`` engines (strategies, queries, stats)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro import TDTreeIndex
+from repro import TDTreeIndex, create_engine
+from repro.api import QueryOptions
 from repro.baselines import earliest_arrival, profile_search
 from repro.exceptions import (
     DisconnectedQueryError,
@@ -19,17 +20,15 @@ from repro.graph import TDGraph
 class TestBuildStrategies:
     def test_unknown_strategy_rejected(self, small_grid):
         with pytest.raises(IndexBuildError):
-            TDTreeIndex.build(small_grid, strategy="magic")
+            TDTreeIndex._build(small_grid, strategy="magic")
 
     def test_budget_and_fraction_are_mutually_exclusive(self, small_grid):
         with pytest.raises(SelectionError):
-            TDTreeIndex.build(
-                small_grid, strategy="approx", budget=10, budget_fraction=0.5
-            )
+            create_engine("td-appro?budget=10&budget_fraction=0.5", small_grid)
 
     def test_basic_has_no_shortcuts(self, basic_index):
-        assert basic_index.strategy == "basic"
-        assert len(basic_index.shortcuts) == 0
+        assert basic_index.index.strategy == "basic"
+        assert len(basic_index.index.shortcuts) == 0
 
     def test_full_selects_every_candidate(self, full_index):
         stats = full_index.statistics()
@@ -48,16 +47,16 @@ class TestBuildStrategies:
         graph.add_bidirectional_edge(0, 1, weight)
         graph.add_bidirectional_edge(5, 6, weight)
         with pytest.raises(GraphError):
-            TDTreeIndex.build(graph, strategy="basic")
+            create_engine("td-basic", graph)
 
     def test_validation_can_be_skipped(self):
         graph = TDGraph()
         weight = PiecewiseLinearFunction.constant(1.0)
         graph.add_bidirectional_edge(0, 1, weight)
         graph.add_bidirectional_edge(5, 6, weight)
-        index = TDTreeIndex.build(graph, strategy="basic", validate=False)
+        engine = create_engine("td-basic?validate=false", graph)
         with pytest.raises(DisconnectedQueryError):
-            index.query(0, 6, 0.0)
+            engine.query(0, 6, 0.0)
 
     def test_build_seconds_recorded_per_phase(self, approx_index):
         stats = approx_index.statistics()
@@ -66,17 +65,8 @@ class TestBuildStrategies:
         assert "selection" in stats.phase_seconds
         assert stats.total_build_seconds > 0.0
 
-    def test_build_seconds_deprecated_alias(self, approx_index):
-        stats = approx_index.statistics()
-        from repro.utils.deprecation import reset_deprecation_warnings
-
-        reset_deprecation_warnings()
-        with pytest.deprecated_call():
-            alias = stats.build_seconds
-        assert set(alias) >= set(stats.phase_seconds)
-
     def test_repr(self, approx_index):
-        assert "approx" in repr(approx_index)
+        assert "approx" in repr(approx_index.index)
 
 
 class TestQueryCorrectness:
@@ -86,11 +76,11 @@ class TestQueryCorrectness:
     def test_cost_queries_match_dijkstra(
         self, request, index_fixture, small_grid, random_od_pairs
     ):
-        index = request.getfixturevalue(index_fixture)
-        exact = index.max_points is None
+        engine = request.getfixturevalue(index_fixture)
+        exact = engine.index.max_points is None
         for source, target, departure in random_od_pairs:
             reference = earliest_arrival(small_grid, source, target, departure)
-            result = index.query(source, target, departure)
+            result = engine.query(source, target, departure)
             if exact:
                 assert result.cost == pytest.approx(reference.cost, rel=1e-6)
             else:
@@ -104,9 +94,9 @@ class TestQueryCorrectness:
     def test_profile_queries_match_profile_search(
         self, request, index_fixture, small_grid
     ):
-        index = request.getfixturevalue(index_fixture)
+        engine = request.getfixturevalue(index_fixture)
         reference = profile_search(small_grid, 2)[22]
-        profile = index.profile(2, 22)
+        profile = engine.profile(2, 22)
         assert reference.max_difference(profile.function, samples=300) < 1e-6
 
     def test_approx_profile_close_to_exact(self, approx_index, small_grid):
@@ -119,7 +109,7 @@ class TestQueryCorrectness:
         assert grid_error < 0.05
 
     def test_need_path_returns_valid_path(self, approx_index, small_grid):
-        result = approx_index.query(0, 24, 30_000.0, need_path=True)
+        result = approx_index.query(0, 24, 30_000.0, options=QueryOptions(want_path=True))
         path = result.path()
         assert path[0] == 0 and path[-1] == 24
         for a, b in zip(path, path[1:]):
@@ -141,7 +131,7 @@ class TestIntrospection:
     def test_memory_breakdown_shortcut_component(self, approx_index):
         breakdown = approx_index.memory_breakdown()
         assert breakdown.shortcut_points > 0
-        assert breakdown.shortcut_functions == 2 * len(approx_index.shortcuts)
+        assert breakdown.shortcut_functions == 2 * len(approx_index.index.shortcuts)
 
     def test_statistics_fields(self, approx_index, small_grid):
         stats = approx_index.statistics()
@@ -155,8 +145,8 @@ class TestIntrospection:
 class TestQuerySpeedOrdering:
     def test_shortcut_queries_use_shortcut_strategies(self, full_index):
         """With all shortcuts present, queries must take the O(w) fast path."""
-        result = full_index.query(0, 24, 3_600.0)
+        result = full_index.index._query(0, 24, 3_600.0)
         assert result.strategy == "full_shortcuts"
 
     def test_basic_index_reports_basic_strategy(self, basic_index):
-        assert basic_index.query(0, 24, 3_600.0).strategy == "basic"
+        assert basic_index.index._query(0, 24, 3_600.0).strategy == "basic"

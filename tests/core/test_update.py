@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import TDTreeIndex
+from repro import create_engine
 from repro.baselines import earliest_arrival
 from repro.exceptions import EdgeNotFoundError, InvalidFunctionError
 from repro.functions import PiecewiseLinearFunction
@@ -13,10 +13,10 @@ from repro.graph import WeightGenerator, grid_network
 
 @pytest.fixture()
 def fresh_index():
-    """A private (mutable) index over a small grid."""
+    """A private (mutable) td-appro engine over a small grid."""
     graph = grid_network(5, 5, num_points=3, seed=51)
-    index = TDTreeIndex.build(graph, strategy="approx", budget_fraction=0.4, max_points=None)
-    return graph, index
+    engine = create_engine("td-appro?budget_fraction=0.4&max_points=none", graph)
+    return graph, engine
 
 
 def scaled(weight: PiecewiseLinearFunction, factor: float) -> PiecewiseLinearFunction:
@@ -25,53 +25,53 @@ def scaled(weight: PiecewiseLinearFunction, factor: float) -> PiecewiseLinearFun
 
 class TestUpdateValidation:
     def test_unknown_edge_rejected(self, fresh_index):
-        _, index = fresh_index
+        _, engine = fresh_index
         with pytest.raises(EdgeNotFoundError):
-            index.update_edge(0, 23, PiecewiseLinearFunction.constant(1.0))
+            engine.update_edges({(0, 23): PiecewiseLinearFunction.constant(1.0)})
 
     def test_negative_weight_rejected(self, fresh_index):
-        graph, index = fresh_index
+        graph, engine = fresh_index
         u, v, _ = next(iter(graph.edges()))
         bad = PiecewiseLinearFunction([0.0, 10.0], [5.0, -1.0], validate=False)
         with pytest.raises(InvalidFunctionError):
-            index.update_edge(u, v, bad)
+            engine.update_edges({(u, v): bad})
 
     def test_empty_update_is_a_noop(self, fresh_index):
-        _, index = fresh_index
-        report = index.update_edges({})
+        _, engine = fresh_index
+        report = engine.update_edges({})
         assert report.num_changed_edges == 0
         assert report.num_dirty_vertices == 0
 
 
 class TestUpdateCorrectness:
     def test_single_edge_slowdown(self, fresh_index, random_od_pairs):
-        graph, index = fresh_index
+        graph, engine = fresh_index
         u, v, weight = sorted(graph.edges())[7]
-        report = index.update_edges(
+        report = engine.update_edges(
             {(u, v): scaled(weight, 4.0), (v, u): scaled(graph.weight(v, u), 4.0)}
         )
         assert report.num_changed_edges == 2
         for source, target, departure in random_od_pairs[:12]:
             reference = earliest_arrival(graph, source, target, departure)
-            result = index.query(source, target, departure)
+            result = engine.query(source, target, departure)
             assert result.cost == pytest.approx(reference.cost, rel=1e-6)
 
     def test_speedup_update(self, fresh_index, random_od_pairs):
         """Costs can also go down; the repaired index must pick the new route."""
-        graph, index = fresh_index
+        graph, engine = fresh_index
         u, v, weight = sorted(graph.edges())[3]
-        index.update_edges(
+        engine.update_edges(
             {(u, v): scaled(weight, 0.25), (v, u): scaled(graph.weight(v, u), 0.25)}
         )
         for source, target, departure in random_od_pairs[:12]:
             reference = earliest_arrival(graph, source, target, departure)
-            result = index.query(source, target, departure)
+            result = engine.query(source, target, departure)
             assert result.cost == pytest.approx(reference.cost, rel=1e-6)
 
     def test_many_random_perturbations(self, fresh_index, random_od_pairs):
         import numpy as np
 
-        graph, index = fresh_index
+        graph, engine = fresh_index
         rng = np.random.default_rng(9)
         generator = WeightGenerator(3, seed=99)
         edges = sorted(graph.edges())
@@ -80,52 +80,52 @@ class TestUpdateCorrectness:
         for edge_index in chosen:
             u, v, weight = edges[int(edge_index)]
             changes[(u, v)] = generator.perturbed(weight, scale=0.5)
-        report = index.update_edges(changes)
+        report = engine.update_edges(changes)
         assert report.num_changed_edges == len(changes)
         assert report.num_dirty_vertices > 0
         for source, target, departure in random_od_pairs[:15]:
             reference = earliest_arrival(graph, source, target, departure)
-            result = index.query(source, target, departure)
+            result = engine.query(source, target, departure)
             assert result.cost == pytest.approx(reference.cost, rel=1e-6)
 
     def test_profile_queries_after_update(self, fresh_index):
         from repro.baselines import profile_search
 
-        graph, index = fresh_index
+        graph, engine = fresh_index
         u, v, weight = sorted(graph.edges())[11]
-        index.update_edges(
+        engine.update_edges(
             {(u, v): scaled(weight, 3.0), (v, u): scaled(graph.weight(v, u), 3.0)}
         )
         reference = profile_search(graph, 0)[24]
-        result = index.profile(0, 24)
+        result = engine.profile(0, 24)
         assert reference.max_difference(result.function, samples=300) < 1e-6
 
     def test_update_on_basic_index(self, random_od_pairs):
         """An index without shortcuts only needs its bag functions repaired."""
         graph = grid_network(5, 5, num_points=3, seed=52)
-        index = TDTreeIndex.build(graph, strategy="basic", max_points=None)
+        engine = create_engine("td-basic?max_points=none", graph)
         u, v, weight = sorted(graph.edges())[5]
-        report = index.update_edges({(u, v): scaled(weight, 5.0)})
+        report = engine.update_edges({(u, v): scaled(weight, 5.0)})
         assert report.num_refreshed_shortcut_pairs == 0
         for source, target, departure in random_od_pairs[:10]:
             reference = earliest_arrival(graph, source, target, departure)
-            assert index.query(source, target, departure).cost == pytest.approx(
+            assert engine.query(source, target, departure).cost == pytest.approx(
                 reference.cost, rel=1e-6
             )
 
 
 class TestUpdateReport:
     def test_report_counts_touched_structures(self, fresh_index):
-        graph, index = fresh_index
+        graph, engine = fresh_index
         u, v, weight = sorted(graph.edges())[0]
-        report = index.update_edge(u, v, scaled(weight, 2.0))
+        report = engine.update_edges({(u, v): scaled(weight, 2.0)})
         assert report.num_changed_edges == 1
         assert report.seconds >= 0.0
         assert report.num_dirty_vertices >= 1
 
     def test_identity_update_touches_little(self, fresh_index):
         """Re-writing the same weight must not cascade into shortcut refreshes."""
-        graph, index = fresh_index
+        graph, engine = fresh_index
         u, v, weight = sorted(graph.edges())[0]
-        report = index.update_edge(u, v, weight)
+        report = engine.update_edges({(u, v): weight})
         assert report.num_refreshed_shortcut_nodes == 0

@@ -14,7 +14,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro import TDTreeIndex
 from repro.api import create_engine
 from repro.serving import EngineHost, QueryService
 
@@ -29,25 +28,27 @@ def _workload(graph, count=25, seed=77):
     )
 
 
-@pytest.mark.parametrize("strategy", ["basic", "approx", "full"])
-def test_batch_query_matches_fresh_index_after_update(small_grid, strategy):
-    kwargs = {"budget_fraction": 0.4} if strategy == "approx" else {}
-    index = TDTreeIndex.build(
-        small_grid.copy(), strategy=strategy, max_points=None, **kwargs
-    )
-    sources, targets, departures = _workload(index.graph)
-    index.batch_query(sources, targets, departures)  # warm every cache
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param("td-basic", id="basic"),
+        pytest.param("td-appro?budget_fraction=0.4", id="approx"),
+        pytest.param("td-full", id="full"),
+    ],
+)
+def test_batch_query_matches_fresh_index_after_update(small_grid, spec):
+    engine = create_engine(spec, small_grid.copy(), max_points=None)
+    sources, targets, departures = _workload(engine.graph)
+    engine.batch_query(sources, targets, departures)  # warm every cache
 
-    edges = sorted(index.graph.edges(), key=lambda e: (e[0], e[1]))
+    edges = sorted(engine.graph.edges(), key=lambda e: (e[0], e[1]))
     changes = {
         (u, v): w.shift(180.0) for u, v, w in edges[:3]
     }
-    index.update_edges(changes)
+    engine.update_edges(changes)
 
-    fresh = TDTreeIndex.build(
-        index.graph.copy(), strategy=strategy, max_points=None, validate=False, **kwargs
-    )
-    updated_costs = index.batch_query(sources, targets, departures).costs
+    fresh = create_engine(spec, engine.graph.copy(), max_points=None, validate=False)
+    updated_costs = engine.batch_query(sources, targets, departures).costs
     fresh_costs = fresh.batch_query(sources, targets, departures).costs
     np.testing.assert_allclose(updated_costs, fresh_costs, rtol=1e-6, atol=1e-6)
 
@@ -55,7 +56,7 @@ def test_batch_query_matches_fresh_index_after_update(small_grid, strategy):
     # batched answers equal its own scalar answers bit for bit.
     looped = np.array(
         [
-            index.query(int(s), int(t), float(d)).cost
+            engine.query(int(s), int(t), float(d)).cost
             for s, t, d in zip(sources, targets, departures)
         ]
     )
@@ -63,24 +64,24 @@ def test_batch_query_matches_fresh_index_after_update(small_grid, strategy):
 
 
 def test_query_service_matches_fresh_index_after_update(small_grid):
-    index = TDTreeIndex.build(
-        small_grid.copy(), strategy="approx", budget_fraction=0.4, max_points=None
+    engine = create_engine(
+        "td-appro?budget_fraction=0.4&max_points=none", small_grid.copy()
     )
-    sources, targets, departures = _workload(index.graph, seed=78)
+    sources, targets, departures = _workload(engine.graph, seed=78)
     queries = list(zip(sources.tolist(), targets.tolist(), departures.tolist()))
 
-    with QueryService(index, max_batch_size=10, max_wait_ms=5.0) as service:
+    with QueryService(engine, max_batch_size=10, max_wait_ms=5.0) as service:
         for s, t, d in queries:
             service.query(s, t, d)  # populate the result cache pre-update
 
-        edges = sorted(index.graph.edges(), key=lambda e: (e[0], e[1]))
+        edges = sorted(engine.graph.edges(), key=lambda e: (e[0], e[1]))
         u, v, weight = edges[1]
-        index.update_edge(u, v, weight.shift(240.0))
+        engine.update_edges({(u, v): weight.shift(240.0)})
         assert service.stats().cache_invalidations == 1
 
-        fresh = TDTreeIndex.build(
-            index.graph.copy(), strategy="approx", budget_fraction=0.4,
-            max_points=None, validate=False,
+        fresh = create_engine(
+            "td-appro?budget_fraction=0.4&max_points=none&validate=false",
+            engine.graph.copy(),
         )
         served = [service.query(s, t, d) for s, t, d in queries]
         expected = [fresh.query(s, t, d).cost for s, t, d in queries]
@@ -89,22 +90,22 @@ def test_query_service_matches_fresh_index_after_update(small_grid):
 
 def test_repeated_updates_keep_all_layers_consistent(small_grid):
     """Alternate updates and mixed-entry-point queries several times over."""
-    index = TDTreeIndex.build(
-        small_grid.copy(), strategy="approx", budget_fraction=0.4, max_points=None
+    engine = create_engine(
+        "td-appro?budget_fraction=0.4&max_points=none", small_grid.copy()
     )
-    sources, targets, departures = _workload(index.graph, count=15, seed=79)
-    edges = sorted(index.graph.edges(), key=lambda e: (e[0], e[1]))
-    with QueryService(index, max_batch_size=6, max_wait_ms=5.0) as service:
+    sources, targets, departures = _workload(engine.graph, count=15, seed=79)
+    edges = sorted(engine.graph.edges(), key=lambda e: (e[0], e[1]))
+    with QueryService(engine, max_batch_size=6, max_wait_ms=5.0) as service:
         for round_no in range(3):
             u, v, weight = edges[round_no * 5]
-            index.update_edge(u, v, weight.shift(60.0 * (round_no + 1)))
-            batch_costs = index.batch_query(sources, targets, departures).costs
+            engine.update_edges({(u, v): weight.shift(60.0 * (round_no + 1))})
+            batch_costs = engine.batch_query(sources, targets, departures).costs
             served = [
                 service.query(int(s), int(t), float(d))
                 for s, t, d in zip(sources, targets, departures)
             ]
             looped = [
-                index.query(int(s), int(t), float(d)).cost
+                engine.query(int(s), int(t), float(d)).cost
                 for s, t, d in zip(sources, targets, departures)
             ]
             assert np.array_equal(batch_costs, np.asarray(looped))
@@ -116,8 +117,8 @@ def test_repeated_updates_keep_all_layers_consistent(small_grid):
 # generation's cache, and in-place updates must serialize against swaps.
 # ----------------------------------------------------------------------
 def _build_service(small_grid):
-    index = TDTreeIndex.build(small_grid.copy(), strategy="basic", max_points=None)
-    return index, QueryService(index, max_batch_size=8, max_wait_ms=5.0)
+    engine = create_engine("td-basic?max_points=none", small_grid.copy())
+    return engine, QueryService(engine, max_batch_size=8, max_wait_ms=5.0)
 
 
 def test_invalidation_racing_close_does_not_bill_retired_cache(
@@ -130,7 +131,7 @@ def test_invalidation_racing_close_does_not_bill_retired_cache(
     drain.  Regression: the hook used to be unregistered last, so an update
     racing the drain fired into the retired cache and skewed its stats.
     """
-    index, service = _build_service(small_grid)
+    engine, service = _build_service(small_grid)
     service.query(0, 24, 0.0)
     before = service.stats().cache_invalidations
 
@@ -139,7 +140,7 @@ def test_invalidation_racing_close_does_not_bill_retired_cache(
     def racing_drain() -> int:
         # Simulates apply_edge_updates() finishing on another thread exactly
         # while close() is mid-drain.
-        index.notify_invalidation()
+        engine.index.notify_invalidation()
         return original_drain()
 
     monkeypatch.setattr(service, "_drain", racing_drain)
@@ -148,7 +149,7 @@ def test_invalidation_racing_close_does_not_bill_retired_cache(
 
 
 def test_invalidate_cache_is_noop_on_closed_service(small_grid):
-    index, service = _build_service(small_grid)
+    engine, service = _build_service(small_grid)
     service.query(0, 24, 0.0)
     service.close()
     before = service.stats().cache_invalidations
@@ -157,11 +158,11 @@ def test_invalidate_cache_is_noop_on_closed_service(small_grid):
 
 
 def test_abort_unregisters_hook_before_settling(small_grid):
-    index, service = _build_service(small_grid)
+    engine, service = _build_service(small_grid)
     service.query(0, 24, 0.0)
     service.abort()
     before = service.stats().cache_invalidations
-    index.notify_invalidation()
+    engine.index.notify_invalidation()
     assert service.stats().cache_invalidations == before
 
 

@@ -37,8 +37,8 @@ class TestMethodRegistry:
         assert engine.query(0, 24, 3_600.0).cost > 0
 
     def test_budgeted_method_accepts_fraction(self, small_grid):
-        index = build_method("TD-appro", small_grid, budget_fraction=0.2)
-        assert len(index.shortcuts) > 0
+        engine = build_method("TD-appro", small_grid, budget_fraction=0.2)
+        assert engine.statistics().num_selected_pairs > 0
 
     def test_gtree_ignores_budget_kwargs(self, small_grid):
         engine = build_method("TD-G-tree", small_grid, budget_fraction=0.2, leaf_size=8)

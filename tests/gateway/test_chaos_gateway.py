@@ -124,7 +124,7 @@ class TestSurvivableKill:
     and successes stay bit-identical."""
 
     def test_worker_kill_mid_load(self, basic_index, tmp_path):
-        snapshot = basic_index.save(tmp_path / "snap")
+        snapshot = basic_index.index.save(tmp_path / "snap")
         pairs = _pairs(basic_index.graph, 64, seed=23)
         host = EngineHost(max_wait_ms=1.0, cache_size=0, obs=Observability())
         host.deploy("prod", f"snapshot:{snapshot}", replicas=1)
@@ -214,7 +214,7 @@ class TestUnsurvivableKill:
     def test_kill_without_snapshot_surfaces_typed_503s_then_swap_recovers(
         self, basic_index, tmp_path
     ):
-        snapshot = basic_index.save(tmp_path / "snap")
+        snapshot = basic_index.index.save(tmp_path / "snap")
         hidden = tmp_path / "hidden"
         source, target, departure = _pairs(basic_index.graph, 1, seed=7)[0]
         payload = {"source": source, "target": target, "departure": departure}
@@ -294,7 +294,7 @@ class TestClosedHost:
     def test_closed_host_answers_typed_503_not_hangs(
         self, basic_index, tmp_path
     ):
-        snapshot = basic_index.save(tmp_path / "snap")
+        snapshot = basic_index.index.save(tmp_path / "snap")
         host = EngineHost(max_wait_ms=1.0, obs=Observability())
         host.deploy("prod", f"snapshot:{snapshot}")
         app = GatewayApp(host)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import TDTreeIndex
+from repro import create_engine
 from repro.baselines import TDDijkstra, TDGTree, earliest_arrival
 from repro.datasets import generate_queries, load_dataset
 from repro.graph import (
@@ -33,14 +33,14 @@ class TestFullPipelineOnCatalogDataset:
         assert validate_graph(graph).is_valid
 
         # 2. Build the paper's index and the strongest baseline.
-        index = TDTreeIndex.build(graph, strategy="approx", budget_fraction=0.35)
+        engine = create_engine("td-appro?budget_fraction=0.35", graph)
         dijkstra = TDDijkstra.build(graph)
 
         # 3. Answer the paper-style workload with both and compare.
         workload = generate_queries(graph, num_pairs=15, num_intervals=3, seed=0)
         worst = 0.0
         for query in workload:
-            fast = index.query(query.source, query.target, query.departure).cost
+            fast = engine.query(query.source, query.target, query.departure).cost
             slow = dijkstra.query(query.source, query.target, query.departure).cost
             assert fast >= slow - 1e-6
             worst = max(worst, (fast - slow) / max(slow, 1e-9))
@@ -49,8 +49,8 @@ class TestFullPipelineOnCatalogDataset:
         # 4. Profiles evaluated at the workload departure times agree with the
         #    scalar answers.
         pair = workload.pairs()[0]
-        profile = index.profile(*pair)
-        scalar = index.query(pair[0], pair[1], 30_000.0)
+        profile = engine.profile(*pair)
+        scalar = engine.query(pair[0], pair[1], 30_000.0)
         assert profile.cost_at(30_000.0) == pytest.approx(scalar.cost, rel=1e-6)
 
 
@@ -59,8 +59,8 @@ class TestIndexesAgreeOnPlanarNetwork:
     def test_three_indexes_agree(self, planar_network):
         graph = planar_network
         rng = np.random.default_rng(5)
-        appro = TDTreeIndex.build(graph, strategy="approx", budget_fraction=0.3)
-        basic = TDTreeIndex.build(graph, strategy="basic")
+        appro = create_engine("td-appro?budget_fraction=0.3", graph)
+        basic = create_engine("td-basic", graph)
         gtree = TDGTree.build(graph, leaf_size=16)
         vertices = sorted(graph.vertices())
         for _ in range(15):
@@ -81,13 +81,13 @@ class TestLiveUpdateScenario:
     def test_day_of_operations(self):
         """Morning build, mid-day incident, evening re-planning."""
         graph = random_geometric_network(80, num_points=3, seed=77)
-        index = TDTreeIndex.build(graph, strategy="approx", budget_fraction=0.4)
+        engine = create_engine("td-appro?budget_fraction=0.4", graph)
         rng = np.random.default_rng(7)
         generator = WeightGenerator(3, seed=78)
 
         vertices = sorted(graph.vertices())
         depot, customer = int(vertices[0]), int(vertices[-1])
-        morning = index.query(depot, customer, 8 * 3600.0).cost
+        morning = engine.query(depot, customer, 8 * 3600.0).cost
 
         # Incident: perturb a batch of edges at noon.
         edges = sorted(graph.edges())
@@ -96,7 +96,7 @@ class TestLiveUpdateScenario:
         for edge_index in chosen:
             u, v, weight = edges[int(edge_index)]
             changes[(u, v)] = generator.perturbed(weight, scale=0.6)
-        report = index.update_edges(changes)
+        report = engine.update_edges(changes)
         assert report.num_changed_edges == len(changes)
 
         # Evening queries still match the ground truth on the updated network.
@@ -104,9 +104,9 @@ class TestLiveUpdateScenario:
             source, target = (int(v) for v in rng.choice(vertices, size=2, replace=False))
             departure = float(rng.uniform(15 * 3600.0, 20 * 3600.0))
             reference = earliest_arrival(graph, source, target, departure).cost
-            assert index.query(source, target, departure).cost == pytest.approx(
+            assert engine.query(source, target, departure).cost == pytest.approx(
                 reference, rel=0.02
             )
         # The depot-to-customer cost is still a sane number.
-        evening = index.query(depot, customer, 18 * 3600.0).cost
+        evening = engine.query(depot, customer, 18 * 3600.0).cost
         assert evening > 0 and morning > 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import TDTreeIndex
+from repro import create_engine
 from repro.baselines import earliest_arrival, profile_search
 from repro.functions import PiecewiseLinearFunction, compound, minimum
 from repro.graph import paper_example_graph
@@ -58,47 +58,52 @@ class TestFigure2TravelCostFunction:
 
 class TestTreeDecompositionOfTheExample:
     def test_every_vertex_gets_a_node(self, example):
-        index = TDTreeIndex.build(example, strategy="basic", max_points=None)
-        assert index.tree.num_nodes == 15
+        engine = create_engine("td-basic?max_points=none", example)
+        assert engine.index.tree.num_nodes == 15
 
     def test_treewidth_is_small(self, example):
-        index = TDTreeIndex.build(example, strategy="basic", max_points=None)
+        tree = create_engine("td-basic?max_points=none", example).index.tree
         # Fig. 3 reports treewidth 3 / treeheight 7; ties in the min-degree
         # heuristic may shift this slightly but it must stay small.
-        assert index.tree.treewidth <= 5
-        assert index.tree.treeheight <= 10
+        assert tree.treewidth <= 5
+        assert tree.treeheight <= 10
 
 
 class TestQueriesOnTheExample:
-    @pytest.mark.parametrize("strategy", ["basic", "full", "approx", "dp"])
-    def test_strategies_match_dijkstra(self, example, strategy):
-        kwargs = {"budget_fraction": 0.5} if strategy in ("approx", "dp") else {}
-        index = TDTreeIndex.build(
-            example, strategy=strategy, max_points=None, **kwargs
-        )
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param("td-basic", id="basic"),
+            pytest.param("td-full", id="full"),
+            pytest.param("td-appro?budget_fraction=0.5", id="approx"),
+            pytest.param("td-dp?budget_fraction=0.5", id="dp"),
+        ],
+    )
+    def test_strategies_match_dijkstra(self, example, spec):
+        engine = create_engine(spec, example, max_points=None)
         rng = np.random.default_rng(0)
         vertices = sorted(example.vertices())
         for _ in range(30):
             source, target = (int(v) for v in rng.choice(vertices, size=2, replace=False))
             departure = float(rng.uniform(0.0, 60.0))
             reference = earliest_arrival(example, source, target, departure)
-            assert index.query(source, target, departure).cost == pytest.approx(
+            assert engine.query(source, target, departure).cost == pytest.approx(
                 reference.cost, rel=1e-6, abs=1e-6
             )
 
     def test_query_q_12_15_from_example_3_3(self, example):
         """The paper's worked query Q(v12, v15, t) is answerable and symmetric
         in cost with the reverse direction (the example's weights are symmetric)."""
-        index = TDTreeIndex.build(example, strategy="full", max_points=None)
-        forward = index.query(12, 15, 10.0)
-        backward = index.query(15, 12, 10.0)
+        engine = create_engine("td-full?max_points=none", example)
+        forward = engine.query(12, 15, 10.0)
+        backward = engine.query(15, 12, 10.0)
         reference = earliest_arrival(example, 12, 15, 10.0)
         assert forward.cost == pytest.approx(reference.cost, rel=1e-9)
         assert backward.cost > 0
 
     def test_profile_query_between_figure_vertices(self, example):
-        index = TDTreeIndex.build(example, strategy="full", max_points=None)
-        profile = index.profile(1, 9)
+        engine = create_engine("td-full?max_points=none", example)
+        profile = engine.profile(1, 9)
         exact = profile_search(example, 1)[9]
         assert exact.max_difference(profile.function, samples=300) < 1e-6
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import TDTreeIndex
+from repro import create_engine
 from repro.baselines import TDGTree, earliest_arrival, profile_search
 from repro.exceptions import GraphError, ReproError
 from repro.functions import PiecewiseLinearFunction
@@ -47,38 +47,44 @@ def asymmetric_network(seed: int = 0, rows: int = 4, cols: int = 4) -> TDGraph:
 
 
 class TestAsymmetricWeights:
-    @pytest.mark.parametrize("strategy", ["basic", "full", "approx"])
-    def test_index_matches_dijkstra_in_both_directions(self, strategy):
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param("td-basic", id="basic"),
+            pytest.param("td-full", id="full"),
+            pytest.param("td-appro?budget_fraction=0.5", id="approx"),
+        ],
+    )
+    def test_index_matches_dijkstra_in_both_directions(self, spec):
         graph = asymmetric_network(seed=3)
         assert validate_graph(graph).is_valid
-        kwargs = {"budget_fraction": 0.5} if strategy == "approx" else {}
-        index = TDTreeIndex.build(graph, strategy=strategy, max_points=None, **kwargs)
+        engine = create_engine(spec, graph, max_points=None)
         rng = np.random.default_rng(7)
         for _ in range(20):
             source, target = (int(v) for v in rng.choice(graph.num_vertices, 2, replace=False))
             departure = float(rng.uniform(0, 86_400))
             forward_ref = earliest_arrival(graph, source, target, departure)
             backward_ref = earliest_arrival(graph, target, source, departure)
-            assert index.query(source, target, departure).cost == pytest.approx(
+            assert engine.query(source, target, departure).cost == pytest.approx(
                 forward_ref.cost, rel=1e-6
             )
-            assert index.query(target, source, departure).cost == pytest.approx(
+            assert engine.query(target, source, departure).cost == pytest.approx(
                 backward_ref.cost, rel=1e-6
             )
 
     def test_forward_and_backward_costs_actually_differ(self):
         graph = asymmetric_network(seed=3)
-        index = TDTreeIndex.build(graph, strategy="full", max_points=None)
+        engine = create_engine("td-full?max_points=none", graph)
         diffs = [
-            abs(index.query(0, 15, 30_000.0).cost - index.query(15, 0, 30_000.0).cost)
+            abs(engine.query(0, 15, 30_000.0).cost - engine.query(15, 0, 30_000.0).cost)
         ]
         assert max(diffs) > 1.0  # the asymmetry is visible end-to-end
 
     def test_profile_queries_on_asymmetric_network(self):
         graph = asymmetric_network(seed=5)
-        index = TDTreeIndex.build(graph, strategy="full", max_points=None)
+        engine = create_engine("td-full?max_points=none", graph)
         exact = profile_search(graph, 0)[15]
-        assert exact.max_difference(index.profile(0, 15).function, samples=300) < 1e-6
+        assert exact.max_difference(engine.profile(0, 15).function, samples=300) < 1e-6
 
 
 class TestExtremeCosts:
@@ -90,12 +96,12 @@ class TestExtremeCosts:
         edges = sorted((u, v) for u, v, _ in graph.edges())
         graph.set_weight(*edges[0], cheap)
         graph.set_weight(*edges[-1], pricey)
-        index = TDTreeIndex.build(graph, strategy="approx", budget_fraction=0.4, max_points=None)
+        engine = create_engine("td-appro?budget_fraction=0.4&max_points=none", graph)
         rng = np.random.default_rng(0)
         for _ in range(10):
             s, d = (int(v) for v in rng.choice(graph.num_vertices, 2, replace=False))
             t = float(rng.uniform(0, 86_400))
-            assert index.query(s, d, t).cost == pytest.approx(
+            assert engine.query(s, d, t).cost == pytest.approx(
                 earliest_arrival(graph, s, d, t).cost, rel=1e-6
             )
 
@@ -106,8 +112,8 @@ class TestExtremeCosts:
         graph.add_bidirectional_edge(0, 1, zero)
         graph.add_bidirectional_edge(1, 2, ten)
         graph.add_bidirectional_edge(0, 2, PiecewiseLinearFunction.constant(25.0))
-        index = TDTreeIndex.build(graph, strategy="full", max_points=None)
-        assert index.query(0, 2, 0.0).cost == pytest.approx(10.0)
+        engine = create_engine("td-full?max_points=none", graph)
+        assert engine.query(0, 2, 0.0).cost == pytest.approx(10.0)
 
 
 class TestInvalidInputsFailLoudly:
@@ -117,11 +123,11 @@ class TestInvalidInputsFailLoudly:
         u, v, _ = next(iter(graph.edges()))
         graph.set_weight(u, v, bad)
         with pytest.raises(GraphError, match="FIFO"):
-            TDTreeIndex.build(graph, strategy="basic")
+            create_engine("td-basic", graph)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ReproError):
-            TDTreeIndex.build(TDGraph(), strategy="basic")
+            create_engine("td-basic", TDGraph())
 
     def test_gtree_queries_on_asymmetric_network_never_undershoot(self):
         graph = asymmetric_network(seed=11)
@@ -140,9 +146,9 @@ class TestTinyGraphs:
         graph.add_bidirectional_edge(
             0, 1, PiecewiseLinearFunction.from_points([(0, 5), (86_400, 15)])
         )
-        index = TDTreeIndex.build(graph, strategy="full", max_points=None)
-        assert index.query(0, 1, 0.0).cost == pytest.approx(5.0)
-        assert index.query(0, 1, 86_400.0).cost == pytest.approx(15.0)
+        engine = create_engine("td-full?max_points=none", graph)
+        assert engine.query(0, 1, 0.0).cost == pytest.approx(5.0)
+        assert engine.query(0, 1, 86_400.0).cost == pytest.approx(15.0)
 
     def test_star_graph(self):
         graph = TDGraph()
@@ -150,6 +156,6 @@ class TestTinyGraphs:
             graph.add_bidirectional_edge(
                 0, leaf, PiecewiseLinearFunction.constant(float(leaf))
             )
-        index = TDTreeIndex.build(graph, strategy="approx", budget_fraction=0.5, max_points=None)
-        assert index.query(1, 5, 0.0).cost == pytest.approx(6.0)
-        assert index.tree.treewidth == 1
+        engine = create_engine("td-appro?budget_fraction=0.5&max_points=none", graph)
+        assert engine.query(1, 5, 0.0).cost == pytest.approx(6.0)
+        assert engine.index.tree.treewidth == 1

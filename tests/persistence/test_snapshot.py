@@ -13,7 +13,8 @@ import json
 import numpy as np
 import pytest
 
-from repro import TDTreeIndex
+from repro import TDTreeIndex, create_engine
+from repro.api import QueryOptions, TDTreeEngine
 from repro.exceptions import SnapshotError
 from repro.persistence import (
     ARRAYS_NAME,
@@ -25,6 +26,11 @@ from repro.persistence import (
 )
 
 STRATEGY_FIXTURES = ["basic_index", "dp_index", "approx_index", "full_index"]
+
+
+def _engine(index: TDTreeIndex) -> TDTreeEngine:
+    """Serve a loaded index through the engine surface the tests query."""
+    return TDTreeEngine(index, name="loaded")
 
 
 def _workload(graph, count=40, seed=99):
@@ -42,22 +48,22 @@ def _workload(graph, count=40, seed=99):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("fixture", STRATEGY_FIXTURES)
 def test_roundtrip_is_bit_identical_on_costs(fixture, request, tmp_path):
-    index = request.getfixturevalue(fixture)
-    sources, targets, departures = _workload(index.graph)
+    engine = request.getfixturevalue(fixture)
+    sources, targets, departures = _workload(engine.graph)
 
-    index.save(tmp_path / "snap")
-    loaded = TDTreeIndex.load(tmp_path / "snap")
+    engine.index.save(tmp_path / "snap")
+    loaded = _engine(TDTreeIndex.load(tmp_path / "snap"))
 
-    batch_before = index.batch_query(sources, targets, departures).costs
+    batch_before = engine.batch_query(sources, targets, departures).costs
     batch_after = loaded.batch_query(sources, targets, departures).costs
     assert np.array_equal(batch_before, batch_after)
 
     for s, t, d in zip(sources[:8], targets[:8], departures[:8]):
-        assert loaded.query(int(s), int(t), float(d)).cost == index.query(
+        assert loaded.query(int(s), int(t), float(d)).cost == engine.query(
             int(s), int(t), float(d)
         ).cost
 
-    profile_before = index.profile(int(sources[0]), int(targets[0]))
+    profile_before = engine.profile(int(sources[0]), int(targets[0]))
     profile_after = loaded.profile(int(sources[0]), int(targets[0]))
     assert np.array_equal(profile_before.function.times, profile_after.function.times)
     assert np.array_equal(profile_before.function.costs, profile_after.function.costs)
@@ -65,9 +71,9 @@ def test_roundtrip_is_bit_identical_on_costs(fixture, request, tmp_path):
 
 @pytest.mark.parametrize("fixture", STRATEGY_FIXTURES)
 def test_roundtrip_preserves_statistics(fixture, request, tmp_path):
-    index = request.getfixturevalue(fixture)
-    loaded = TDTreeIndex.load(index.save(tmp_path / "snap"))
-    before = index.statistics()
+    engine = request.getfixturevalue(fixture)
+    loaded = TDTreeIndex.load(engine.index.save(tmp_path / "snap"))
+    before = engine.statistics()
     after = loaded.statistics()
     assert after.strategy == before.strategy
     assert after.num_vertices == before.num_vertices
@@ -78,29 +84,28 @@ def test_roundtrip_preserves_statistics(fixture, request, tmp_path):
     assert after.num_selected_pairs == before.num_selected_pairs
     assert after.selected_weight == before.selected_weight
     assert after.budget == before.budget
-    assert loaded.selection.method == index.selection.method
-    assert loaded.max_points == index.max_points
-    assert loaded.tolerance == index.tolerance
+    assert loaded.selection.method == engine.index.selection.method
+    assert loaded.max_points == engine.index.max_points
+    assert loaded.tolerance == engine.index.tolerance
     assert (
-        loaded.memory_breakdown().total_bytes == index.memory_breakdown().total_bytes
+        loaded.memory_breakdown().total_bytes == engine.memory_breakdown().total_bytes
     )
 
 
 def test_roundtrip_preserves_via_provenance_and_paths(approx_index, tmp_path):
-    loaded = TDTreeIndex.load(approx_index.save(tmp_path / "snap"))
-    result_before = approx_index.query(0, 24, 3_600.0, need_path=True)
-    result_after = loaded.query(0, 24, 3_600.0, need_path=True)
+    loaded = _engine(TDTreeIndex.load(approx_index.index.save(tmp_path / "snap")))
+    with_path = QueryOptions(want_path=True)
+    result_before = approx_index.query(0, 24, 3_600.0, options=with_path)
+    result_after = loaded.query(0, 24, 3_600.0, options=with_path)
     assert result_after.cost == result_before.cost
     assert result_after.path() == result_before.path()
 
 
 def test_loaded_index_supports_updates(small_grid, tmp_path):
-    index = TDTreeIndex.build(
-        small_grid.copy(), strategy="approx", budget_fraction=0.4, max_points=16
-    )
-    loaded = TDTreeIndex.load(index.save(tmp_path / "snap"))
+    engine = create_engine("td-appro?budget_fraction=0.4&max_points=16", small_grid.copy())
+    loaded = _engine(TDTreeIndex.load(engine.index.save(tmp_path / "snap")))
     u, v, weight = next(iter(loaded.graph.edges()))
-    report = loaded.update_edge(u, v, weight.shift(120.0))
+    report = loaded.update_edges({(u, v): weight.shift(120.0)})
     assert report.num_changed_edges == 1
     sources, targets, departures = _workload(loaded.graph, count=15, seed=4)
     batch = loaded.batch_query(sources, targets, departures).costs
@@ -114,21 +119,19 @@ def test_loaded_index_supports_updates(small_grid, tmp_path):
 
 
 def test_save_load_after_update_keeps_costs(small_grid, tmp_path):
-    index = TDTreeIndex.build(
-        small_grid.copy(), strategy="approx", budget_fraction=0.4, max_points=16
-    )
-    u, v, weight = next(iter(index.graph.edges()))
-    index.update_edge(u, v, weight.shift(300.0))
-    loaded = TDTreeIndex.load(index.save(tmp_path / "snap"))
-    sources, targets, departures = _workload(index.graph, count=20, seed=8)
+    engine = create_engine("td-appro?budget_fraction=0.4&max_points=16", small_grid.copy())
+    u, v, weight = next(iter(engine.graph.edges()))
+    engine.update_edges({(u, v): weight.shift(300.0)})
+    loaded = _engine(TDTreeIndex.load(engine.index.save(tmp_path / "snap")))
+    sources, targets, departures = _workload(engine.graph, count=20, seed=8)
     assert np.array_equal(
-        index.batch_query(sources, targets, departures).costs,
+        engine.batch_query(sources, targets, departures).costs,
         loaded.batch_query(sources, targets, departures).costs,
     )
 
 
 def test_coordinates_survive_roundtrip(approx_index, tmp_path):
-    loaded = TDTreeIndex.load(approx_index.save(tmp_path / "snap"))
+    loaded = TDTreeIndex.load(approx_index.index.save(tmp_path / "snap"))
     assert loaded.graph.coordinates() == approx_index.graph.coordinates()
 
 
@@ -136,19 +139,19 @@ def test_coordinates_survive_roundtrip(approx_index, tmp_path):
 # Manifest and robustness
 # ----------------------------------------------------------------------
 def test_manifest_contents(approx_index, tmp_path):
-    directory = approx_index.save(tmp_path / "snap")
+    directory = approx_index.index.save(tmp_path / "snap")
     manifest = read_manifest(directory)
     assert manifest["format_version"] == FORMAT_VERSION
     assert manifest["strategy"] == "approx"
-    assert manifest["counts"]["tree_nodes"] == approx_index.tree.num_nodes
-    assert manifest["counts"]["shortcut_pairs"] == len(approx_index.shortcuts)
-    assert manifest["selection"]["method"] == approx_index.selection.method
+    assert manifest["counts"]["tree_nodes"] == approx_index.index.tree.num_nodes
+    assert manifest["counts"]["shortcut_pairs"] == len(approx_index.index.shortcuts)
+    assert manifest["selection"]["method"] == approx_index.index.selection.method
 
 
 def test_manifest_records_engine_spec_and_registry_version(approx_index, tmp_path):
     from repro.api import registry_version
 
-    directory = approx_index.save(
+    directory = approx_index.index.save(
         tmp_path / "snap", engine_spec="td-appro?budget_fraction=0.4"
     )
     manifest = read_manifest(directory)
@@ -157,21 +160,21 @@ def test_manifest_records_engine_spec_and_registry_version(approx_index, tmp_pat
 
 
 def test_manifest_engine_spec_defaults_to_none(approx_index, tmp_path):
-    manifest = read_manifest(approx_index.save(tmp_path / "snap"))
+    manifest = read_manifest(approx_index.index.save(tmp_path / "snap"))
     assert manifest["engine_spec"] is None
     assert isinstance(manifest["registry_version"], int)
 
 
 def test_manifest_without_spec_fields_still_loads(approx_index, tmp_path):
     """Manifests written before engine_spec/registry_version existed load fine."""
-    directory = save_index(approx_index, tmp_path / "snap", engine_spec="td-appro")
+    directory = save_index(approx_index.index, tmp_path / "snap", engine_spec="td-appro")
     manifest_path = directory / MANIFEST_NAME
     manifest = json.loads(manifest_path.read_text())
     del manifest["engine_spec"]
     del manifest["registry_version"]
     manifest_path.write_text(json.dumps(manifest))
 
-    loaded = load_index(directory)
+    loaded = _engine(load_index(directory))
     s, t, d = 0, approx_index.graph.num_vertices - 1, 3600.0
     assert loaded.query(s, t, d).cost == approx_index.query(s, t, d).cost
 
@@ -182,7 +185,7 @@ def test_load_missing_snapshot_raises(tmp_path):
 
 
 def test_load_rejects_future_format_version(approx_index, tmp_path):
-    directory = approx_index.save(tmp_path / "snap")
+    directory = approx_index.index.save(tmp_path / "snap")
     manifest_path = directory + "/" + MANIFEST_NAME
     with open(manifest_path) as handle:
         manifest = json.load(handle)
@@ -202,14 +205,14 @@ def test_load_rejects_foreign_manifest(tmp_path):
 
 
 def test_load_rejects_missing_arrays(approx_index, tmp_path):
-    directory = approx_index.save(tmp_path / "snap")
+    directory = approx_index.index.save(tmp_path / "snap")
     (tmp_path / "snap" / ARRAYS_NAME).unlink()
     with pytest.raises(SnapshotError, match="missing"):
         load_index(directory)
 
 
 def test_load_rejects_count_mismatch(approx_index, tmp_path):
-    directory = approx_index.save(tmp_path / "snap")
+    directory = approx_index.index.save(tmp_path / "snap")
     manifest_path = tmp_path / "snap" / MANIFEST_NAME
     manifest = json.loads(manifest_path.read_text())
     manifest["counts"]["tree_nodes"] += 1
@@ -225,7 +228,7 @@ def test_save_rejects_non_index(tmp_path):
 
 def test_load_rejects_corrupt_plf_buffers(approx_index, tmp_path):
     """A truncated/missing ragged buffer surfaces as SnapshotError, not a leak."""
-    directory = approx_index.save(tmp_path / "snap")
+    directory = approx_index.index.save(tmp_path / "snap")
     arrays_path = tmp_path / "snap" / ARRAYS_NAME
     data = dict(np.load(arrays_path))
     del data["graph_weight_times"]
@@ -236,8 +239,8 @@ def test_load_rejects_corrupt_plf_buffers(approx_index, tmp_path):
 
 def test_load_rejects_mixed_generations(approx_index, basic_index, tmp_path):
     """Arrays and manifest from different save() calls must not be combined."""
-    directory = approx_index.save(tmp_path / "snap")
-    other = basic_index.save(tmp_path / "other")
+    directory = approx_index.index.save(tmp_path / "snap")
+    other = basic_index.index.save(tmp_path / "other")
     (tmp_path / "snap" / ARRAYS_NAME).write_bytes(
         (tmp_path / "other" / ARRAYS_NAME).read_bytes()
     )
@@ -264,7 +267,7 @@ class TestMmapLoading:
     ):
         from repro.persistence.snapshot import _mmap_npz
 
-        directory = approx_index.save(tmp_path / "snap")
+        directory = approx_index.index.save(tmp_path / "snap")
         arrays_path = tmp_path / "snap" / ARRAYS_NAME
         mapped = _mmap_npz(arrays_path, "r")
         with np.load(arrays_path) as archive:
@@ -290,9 +293,9 @@ class TestMmapLoading:
 
     @pytest.mark.parametrize("mode", ["r", "c"])
     def test_mmap_load_is_bit_identical_on_costs(self, approx_index, tmp_path, mode):
-        directory = approx_index.save(tmp_path / "snap")
-        eager = load_index(directory)
-        mapped = load_index(directory, mmap_mode=mode)
+        directory = approx_index.index.save(tmp_path / "snap")
+        eager = _engine(load_index(directory))
+        mapped = _engine(load_index(directory, mmap_mode=mode))
         sources, targets, departures = _workload(approx_index.graph)
         assert np.array_equal(
             mapped.batch_query(sources, targets, departures).costs,
@@ -305,8 +308,8 @@ class TestMmapLoading:
             )
 
     def test_index_load_passes_mmap_mode_through(self, basic_index, tmp_path):
-        directory = basic_index.save(tmp_path / "snap")
-        mapped = TDTreeIndex.load(directory, mmap_mode="r")
+        directory = basic_index.index.save(tmp_path / "snap")
+        mapped = _engine(TDTreeIndex.load(directory, mmap_mode="r"))
         sources, targets, departures = _workload(basic_index.graph)
         assert np.array_equal(
             mapped.batch_query(sources, targets, departures).costs,
@@ -314,7 +317,7 @@ class TestMmapLoading:
         )
 
     def test_invalid_mmap_mode_is_refused(self, basic_index, tmp_path):
-        directory = basic_index.save(tmp_path / "snap")
+        directory = basic_index.index.save(tmp_path / "snap")
         # Writable maps would let one replica corrupt the shared snapshot.
         for mode in ("r+", "w+", "x", ""):
             with pytest.raises(SnapshotError, match="mmap_mode"):
@@ -326,7 +329,7 @@ class TestMmapLoading:
 
         from repro.persistence.snapshot import _mmap_npz
 
-        directory = basic_index.save(tmp_path / "snap")
+        directory = basic_index.index.save(tmp_path / "snap")
         arrays_path = tmp_path / "snap" / ARRAYS_NAME
         recompressed = tmp_path / "compressed.npz"
         with np.load(arrays_path) as archive:

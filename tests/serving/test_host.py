@@ -25,6 +25,7 @@ from repro.exceptions import (
     UnknownDeploymentError,
     VertexNotFoundError,
 )
+from repro.obs.metrics import LATENCY_BUCKETS_MS, bucket_percentile
 from repro.serving import DeploymentInfo, EngineHost, ServiceStats, SwapReport
 from repro.serving.stats import LatencyReservoir
 
@@ -398,6 +399,9 @@ def test_aswap_runs_off_loop(host, small_grid):
 # Stats plumbing
 # ----------------------------------------------------------------------
 def test_service_stats_merged_counters():
+    fast, slow = LatencyReservoir(), LatencyReservoir()
+    fast.extend([0.001] * 8)
+    slow.extend([0.003] * 16)
     one = ServiceStats(
         queries_submitted=10,
         queries_answered=8,
@@ -411,6 +415,7 @@ def test_service_stats_merged_counters():
         p95_latency_ms=2.0,
         throughput_qps=100.0,
         elapsed_seconds=0.08,
+        latency_bucket_counts=fast.bucket_counts,
     )
     two = ServiceStats(
         queries_submitted=20,
@@ -425,6 +430,7 @@ def test_service_stats_merged_counters():
         p95_latency_ms=6.0,
         throughput_qps=200.0,
         elapsed_seconds=0.08,
+        latency_bucket_counts=slow.bucket_counts,
     )
     merged = ServiceStats.merged([one, two])
     assert merged.queries_submitted == 30
@@ -435,7 +441,12 @@ def test_service_stats_merged_counters():
     assert merged.num_batches == 8
     assert merged.avg_batch_size == pytest.approx((3.0 * 2 + 2.0 * 6) / 8)
     assert merged.batch_occupancy == pytest.approx((0.5 * 2 + 0.25 * 6) / 8)
-    assert merged.p50_latency_ms == pytest.approx((1.0 * 8 + 3.0 * 16) / 24)
+    combined = LatencyReservoir()
+    combined.extend([0.001] * 8 + [0.003] * 16)
+    assert merged.latency_bucket_counts == combined.bucket_counts
+    assert merged.p50_latency_ms == pytest.approx(
+        bucket_percentile(LATENCY_BUCKETS_MS, combined.bucket_counts, 50.0)
+    )
     assert merged.throughput_qps == pytest.approx(24 / 0.16)
     assert merged.elapsed_seconds == pytest.approx(0.16)
 
@@ -443,6 +454,7 @@ def test_service_stats_merged_counters():
 def test_service_stats_merged_degenerate_cases():
     empty = ServiceStats.merged([])
     assert empty.queries_submitted == 0 and empty.throughput_qps == 0.0
+    assert empty.latency_bucket_counts == ServiceStats.empty().latency_bucket_counts
     one = ServiceStats(1, 1, 0, 0, 0, 1, 1.0, 0.1, 0.0, 0.0, 10.0, 0.1)
     assert ServiceStats.merged([one]) == one
 
@@ -492,14 +504,3 @@ def test_service_stats_merged_percentiles_from_buckets():
     assert merged.latency_bucket_counts == tuple(
         a + b for a, b in zip(fast.bucket_counts, slow.bucket_counts)
     )
-
-
-def test_service_stats_merged_falls_back_without_buckets():
-    """Legacy snapshots (no bucket counts) keep the old weighted behaviour."""
-    legacy = ServiceStats(10, 10, 0, 0, 0, 1, 10.0, 1.0, 1.0, 2.0, 10.0, 1.0,
-                          p99_latency_ms=4.0)
-    other = ServiceStats(30, 30, 0, 0, 0, 1, 30.0, 1.0, 3.0, 6.0, 30.0, 1.0,
-                         p99_latency_ms=8.0)
-    merged = ServiceStats.merged([legacy, other])
-    assert merged.p99_latency_ms == pytest.approx((4.0 * 10 + 8.0 * 30) / 40)
-    assert merged.latency_bucket_counts == ()

@@ -65,7 +65,7 @@ def _workload(graph, count=40, seed=11):
 @pytest.fixture(scope="module")
 def snapshot_dir(basic_index, tmp_path_factory):
     """One saved snapshot every pool in this module rehydrates from."""
-    return basic_index.save(
+    return basic_index.index.save(
         tmp_path_factory.mktemp("replica-snap") / "snap"
     )
 

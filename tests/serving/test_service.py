@@ -1,7 +1,7 @@
 """Behavioural tests for the micro-batching :class:`QueryService`.
 
 The service must never change answers — only their delivery: every cost it
-returns equals the corresponding ``index.query`` call bit for bit (the batch
+returns equals the corresponding ``engine.query`` call bit for bit (the batch
 engine guarantees it), across flush triggers, cache states, threads and
 index updates.
 """
@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import TDGraph, TDTreeIndex
+from repro import TDGraph, create_engine
 from repro.exceptions import DisconnectedQueryError
 from repro.functions import PiecewiseLinearFunction
 from repro.serving import QueryService
@@ -135,32 +135,30 @@ def test_cache_disabled(approx_index):
 # Update integration
 # ----------------------------------------------------------------------
 def test_edge_update_invalidates_cache_and_results(small_grid):
-    index = TDTreeIndex.build(
-        small_grid.copy(), strategy="approx", budget_fraction=0.4, max_points=16
-    )
-    with QueryService(index, max_batch_size=8, max_wait_ms=5.0) as svc:
-        workload = _workload(index.graph, count=12, seed=9)
+    engine = create_engine("td-appro?budget_fraction=0.4&max_points=16", small_grid.copy())
+    with QueryService(engine, max_batch_size=8, max_wait_ms=5.0) as svc:
+        workload = _workload(engine.graph, count=12, seed=9)
         for s, t, d in workload:
             svc.query(s, t, d)
         assert svc.stats().cache_entries > 0
 
-        u, v, weight = next(iter(index.graph.edges()))
-        index.update_edge(u, v, weight.shift(400.0))
+        u, v, weight = next(iter(engine.graph.edges()))
+        engine.update_edges({(u, v): weight.shift(400.0)})
 
         stats = svc.stats()
         assert stats.cache_invalidations == 1
         assert stats.cache_entries == 0
         # Post-update answers come from the repaired index, not stale cache.
         for s, t, d in workload:
-            assert svc.query(s, t, d) == index.query(s, t, d).cost
+            assert svc.query(s, t, d) == engine.query(s, t, d).cost
 
 
 def test_close_unregisters_invalidation_hook(approx_index):
-    before = len(approx_index._invalidation_hooks)
+    before = len(approx_index.index._invalidation_hooks)
     svc = QueryService(approx_index, max_batch_size=4, max_wait_ms=1.0)
-    assert len(approx_index._invalidation_hooks) == before + 1
+    assert len(approx_index.index._invalidation_hooks) == before + 1
     svc.close()
-    assert len(approx_index._invalidation_hooks) == before
+    assert len(approx_index.index._invalidation_hooks) == before
 
 
 def test_dropped_service_is_garbage_collected(approx_index):
@@ -169,7 +167,7 @@ def test_dropped_service_is_garbage_collected(approx_index):
     import gc
     import weakref
 
-    before = len(approx_index._invalidation_hooks)
+    before = len(approx_index.index._invalidation_hooks)
     svc = QueryService(approx_index, max_batch_size=4, max_wait_ms=1.0)
     ref = weakref.ref(svc)
     del svc
@@ -178,8 +176,8 @@ def test_dropped_service_is_garbage_collected(approx_index):
         gc.collect()
         time.sleep(0.05)  # let the flusher drop its bounded-wait strong ref
     assert ref() is None
-    approx_index.notify_invalidation()  # dead hook unregisters itself
-    assert len(approx_index._invalidation_hooks) == before
+    approx_index.index.notify_invalidation()  # dead hook unregisters itself
+    assert len(approx_index.index._invalidation_hooks) == before
 
 
 # ----------------------------------------------------------------------
@@ -189,8 +187,8 @@ def test_disconnected_query_fails_only_its_future():
     graph = TDGraph()
     graph.add_bidirectional_edge(0, 1, PiecewiseLinearFunction.constant(10.0))
     graph.add_bidirectional_edge(2, 3, PiecewiseLinearFunction.constant(10.0))
-    index = TDTreeIndex.build(graph, strategy="basic", validate=False)
-    with QueryService(index, max_batch_size=16, max_wait_ms=5.0) as svc:
+    engine = create_engine("td-basic?validate=false", graph)
+    with QueryService(engine, max_batch_size=16, max_wait_ms=5.0) as svc:
         good = svc.submit(0, 1, 0.0)
         bad = svc.submit(0, 3, 0.0)
         also_good = svc.submit(2, 3, 0.0)

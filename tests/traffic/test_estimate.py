@@ -21,7 +21,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import TDTreeIndex
+from repro import create_engine
+from repro.api import TDTreeEngine
 from repro.datasets.catalog import load_dataset
 from repro.graph import grid_network, random_geometric_network
 from repro.traffic import estimate_dirty_vertices
@@ -32,28 +33,26 @@ GRAPHS = {
     "cal_sample": lambda: load_dataset("CAL", num_points=3),
 }
 
-#: One built index per graph family, reused (and repaired back to baseline)
+#: One built engine per graph family, reused (and repaired back to baseline)
 #: across hypothesis examples — rebuilding per example would dominate runtime.
-_INDEXES: dict[str, TDTreeIndex] = {}
+_ENGINES: dict[str, TDTreeEngine] = {}
 
 
-def _index_for(family: str) -> TDTreeIndex:
-    index = _INDEXES.get(family)
-    if index is None:
-        index = TDTreeIndex.build(
-            GRAPHS[family]().copy(), strategy="basic", max_points=None
-        )
-        _INDEXES[family] = index
-    return index
+def _engine_for(family: str) -> TDTreeEngine:
+    engine = _ENGINES.get(family)
+    if engine is None:
+        engine = create_engine("td-basic?max_points=none", GRAPHS[family]().copy())
+        _ENGINES[family] = engine
+    return engine
 
 
-def _apply_and_restore(index, edges, delta):
+def _apply_and_restore(engine, edges, delta):
     """Apply a uniform shift to ``edges``, report, then restore baselines."""
-    baselines = {(u, v): index.graph.weight(u, v) for u, v in edges}
-    report = index.update_edges(
+    baselines = {(u, v): engine.graph.weight(u, v) for u, v in edges}
+    report = engine.update_edges(
         {edge: weight.shift(delta) for edge, weight in baselines.items()}
     )
-    index.update_edges(baselines)
+    engine.update_edges(baselines)
     return report
 
 
@@ -65,8 +64,8 @@ def _apply_and_restore(index, edges, delta):
 @given(data=st.data())
 @pytest.mark.parametrize("family", sorted(GRAPHS))
 def test_estimate_is_a_sound_upper_bound(family, data):
-    index = _index_for(family)
-    all_edges = sorted({(u, v) for u, v, _ in index.graph.edges()})
+    engine = _engine_for(family)
+    all_edges = sorted({(u, v) for u, v, _ in engine.graph.edges()})
     count = data.draw(st.integers(min_value=1, max_value=12), label="edges")
     edges = data.draw(
         st.lists(
@@ -81,10 +80,10 @@ def test_estimate_is_a_sound_upper_bound(family, data):
         st.floats(min_value=0.5, max_value=3600.0, allow_nan=False),
         label="delta",
     )
-    estimate = estimate_dirty_vertices(index.tree, edges)
-    report = _apply_and_restore(index, edges, delta)
+    estimate = estimate_dirty_vertices(engine.index.tree, edges)
+    report = _apply_and_restore(engine, edges, delta)
     assert report.num_dirty_vertices <= estimate
-    assert estimate <= index.graph.num_vertices
+    assert estimate <= engine.graph.num_vertices
 
 
 @pytest.mark.parametrize("family", sorted(GRAPHS))
@@ -96,18 +95,18 @@ def test_estimate_tight_under_saturating_decrease(family, count):
     happen not to route through the cheapened edges), hence the small
     slack instead of strict equality.
     """
-    index = _index_for(family)
-    all_edges = sorted({(u, v) for u, v, _ in index.graph.edges()})
+    engine = _engine_for(family)
+    all_edges = sorted({(u, v) for u, v, _ in engine.graph.edges()})
     edges = all_edges[:: max(1, len(all_edges) // count)][:count]
-    estimate = estimate_dirty_vertices(index.tree, edges)
-    baselines = {(u, v): index.graph.weight(u, v) for u, v in edges}
-    report = index.update_edges(
+    estimate = estimate_dirty_vertices(engine.index.tree, edges)
+    baselines = {(u, v): engine.graph.weight(u, v) for u, v in edges}
+    report = engine.update_edges(
         {
             edge: weight.shift(-0.999 * min(weight.costs))
             for edge, weight in baselines.items()
         }
     )
-    index.update_edges(baselines)
+    engine.update_edges(baselines)
     actual = report.num_dirty_vertices
     assert actual <= estimate
     assert actual >= estimate - max(3, len(edges))
@@ -118,10 +117,8 @@ def test_estimate_of_nothing_is_zero(small_tree):
 
 
 def test_estimate_matches_controller_observation_path(small_grid):
-    """The exact call shape the controller uses (tree attr via the index)."""
-    index = TDTreeIndex.build(
-        small_grid.copy(), strategy="basic", max_points=None
-    )
-    edges = sorted({(u, v) for u, v, _ in index.graph.edges()})[:4]
-    estimate = estimate_dirty_vertices(index.tree, edges)
-    assert 1 <= estimate <= index.graph.num_vertices
+    """The exact call shape the controller uses (tree attr via the engine's index)."""
+    engine = create_engine("td-basic?max_points=none", small_grid.copy())
+    edges = sorted({(u, v) for u, v, _ in engine.graph.edges()})[:4]
+    estimate = estimate_dirty_vertices(engine.index.tree, edges)
+    assert 1 <= estimate <= engine.graph.num_vertices
