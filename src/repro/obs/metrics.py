@@ -349,9 +349,9 @@ class Histogram(_Instrument):
     ) -> None:
         """Add pre-bucketed count deltas (plus their value sum) to ``key``.
 
-        The publisher's buckets must be this instrument's: a source that
-        already maintains counts in the same bounds (e.g. the serving
-        layer's latency reservoir) syncs in O(buckets) instead of
+        The publisher's buckets must be this instrument's: a private
+        histogram with the same bounds (a query service's own latency
+        histogram) syncs its count diff in O(buckets) instead of
         re-bucketing every observation.
         """
         if len(deltas) != len(self.bounds) + 1:

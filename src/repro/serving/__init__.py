@@ -60,7 +60,7 @@ from repro.serving.faults import (
 from repro.serving.host import DeploymentInfo, EngineHost, SwapReport
 from repro.serving.replica import ReplicaInfo, ReplicaPool, ReplicaRecovery
 from repro.serving.service import QueryService, ServiceFuture, ServiceProbe
-from repro.serving.stats import LatencyReservoir, ServiceStats
+from repro.serving.stats import ServiceStats
 from repro.serving.supervision import (
     HealthReport,
     HealthState,
@@ -77,7 +77,6 @@ __all__ = [
     "ServiceFuture",
     "ServiceProbe",
     "ServiceStats",
-    "LatencyReservoir",
     # admission / retry
     "ADMISSION_POLICIES",
     "ADMIT_BLOCK",

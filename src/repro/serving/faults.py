@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.exceptions import ReproError
 from repro.obs import EVENT_FAULT, EventLog
@@ -126,6 +126,10 @@ class FaultyEngine:
     suite compares recovered answers against (the engine's scalar ``query``)
     is always available.  Results are re-tagged with this engine's name so
     provenance shows the traffic went through the fault layer.
+
+    Beyond the engine protocol only ``index`` and the invalidation-hook
+    methods are delegated (the serving layer's snapshot and cache wiring);
+    reach anything else through :attr:`inner`.
     """
 
     def __init__(
@@ -212,22 +216,31 @@ class FaultyEngine:
     def memory_breakdown(self) -> "MemoryBreakdown":
         return self.inner.memory_breakdown()
 
+    # -- serving wiring ------------------------------------------------
+    @property
+    def index(self) -> Any:
+        """The wrapped engine's index (what snapshots and the traffic
+        controller read); raises :class:`AttributeError` if it has none."""
+        return self.inner.index
+
+    def register_invalidation_hook(self, hook: Callable[[], None]) -> None:
+        """Register ``hook`` on the wrapped engine if it supports hooks, so
+        a service's cache wiring works through the fault layer."""
+        register = getattr(self.inner, "register_invalidation_hook", None)
+        if register is not None:
+            register(hook)
+
+    def unregister_invalidation_hook(self, hook: Callable[[], None]) -> None:
+        unregister = getattr(self.inner, "unregister_invalidation_hook", None)
+        if unregister is not None:
+            unregister(hook)
+
     # -- introspection -------------------------------------------------
     @property
     def batch_calls(self) -> int:
         """How many ``batch_query`` calls the wrapper has seen."""
         with self._calls_lock:
             return self._calls
-
-    def __getattr__(self, attr: str) -> Any:
-        # Everything else (``.index``, invalidation-hook registration,
-        # ``statistics()``...) resolves against the wrapped engine, so the
-        # serving layer's cache wiring works through the fault layer.
-        try:
-            inner = object.__getattribute__(self, "inner")
-        except AttributeError:
-            raise AttributeError(attr) from None
-        return getattr(inner, attr)
 
     def __repr__(self) -> str:
         return f"FaultyEngine(inner={self.inner!r}, plan={self.plan!r})"

@@ -864,10 +864,10 @@ class EngineHost:
         for one deployment's stats, nothing for a ``{name: stats}`` map.
         """
         if deployment is not None:
-            return self._deployment_stats(self._get(deployment))
+            return self._merged_stats(self._get(deployment))
         with self._lock:
             live = list(self._deployments.values())
-        return {d.name: self._deployment_stats(d) for d in live}
+        return {d.name: self._merged_stats(d) for d in live}
 
     def replica_stats(self, deployment: str) -> list[ServiceStats]:
         """Per-replica worker stats of a ``replicas=N`` deployment.
@@ -1284,23 +1284,24 @@ class EngineHost:
             replicas=pool.size if pool is not None else 0,
         )
 
-    def _deployment_stats(self, deployment: _Deployment) -> ServiceStats:
-        return self._merged_stats(deployment)
-
     def _merged_stats(self, deployment: _Deployment) -> ServiceStats:
         """Fold retired generations, the live service, the fallback, and the
-        host-level resilience counters into one deployment view."""
+        host-level resilience counters into one deployment view.
+
+        ``cache_entries`` is the live service's, not the fallback's."""
         with self._lock:
             retired = list(deployment.retired_stats)
             retries = deployment.retries
             degraded = deployment.degraded_answers
             restarts = deployment.worker_restarts
-        parts = [*retired, deployment.service.stats()]
+        live = deployment.service.stats()
+        parts = [*retired, live]
         if deployment.fallback_service is not None:
             parts.append(deployment.fallback_service.stats())
         merged = ServiceStats.merged(parts)
         return replace(
             merged,
+            cache_entries=live.cache_entries,
             retries=merged.retries + retries,
             degraded_answers=merged.degraded_answers + degraded,
             worker_restarts=merged.worker_restarts + restarts,

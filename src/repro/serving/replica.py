@@ -70,8 +70,14 @@ from typing import TYPE_CHECKING, Any, Optional
 import numpy as np
 
 from repro.exceptions import ServiceClosedError, SnapshotError, WorkerCrashedError
-from repro.obs import EVENT_REPLICA_RESPAWN, EVENT_REPLICA_SPAWN, Observability, get_observability
-from repro.serving.stats import LatencyReservoir, ServiceStats
+from repro.obs import (
+    EVENT_REPLICA_RESPAWN,
+    EVENT_REPLICA_SPAWN,
+    Histogram,
+    Observability,
+    get_observability,
+)
+from repro.serving.stats import ServiceStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
@@ -218,7 +224,7 @@ def _replica_worker_main(
     except BaseException:  # noqa: BLE001 - shipped to the parent, not lost
         _send_quietly(responses, ("crash", index, traceback.format_exc(limit=20)))
         return
-    reservoir = LatencyReservoir()
+    latency = Histogram("repro_replica_latency_ms", "Engine call latency (ms).").labels()
     submitted = answered = batches = batched = 0
     first: Optional[float] = None
     last: Optional[float] = None
@@ -253,7 +259,7 @@ def _replica_worker_main(
                 batches += 1
                 batched += count
                 last = done
-                reservoir.extend([done - begun] * count)
+                latency.observe_many([(done - begun) * 1000.0] * count)
                 responses.send(("done", index, request_id, costs))
             elif kind == "scalar":
                 source, target, departure = msg[2], msg[3], msg[4]
@@ -271,7 +277,7 @@ def _replica_worker_main(
                 batches += 1
                 batched += 1
                 last = done
-                reservoir.record(done - begun)
+                latency.observe((done - begun) * 1000.0)
                 responses.send(("done", index, request_id, cost))
             elif kind == "stats":
                 elapsed = (last - first) if first is not None and last is not None else 0.0
@@ -284,12 +290,8 @@ def _replica_worker_main(
                     num_batches=batches,
                     avg_batch_size=(batched / batches) if batches else 0.0,
                     batch_occupancy=0.0,
-                    p50_latency_ms=reservoir.percentile_ms(50.0),
-                    p95_latency_ms=reservoir.percentile_ms(95.0),
-                    throughput_qps=(answered / elapsed) if elapsed > 0 else 0.0,
                     elapsed_seconds=elapsed,
-                    p99_latency_ms=reservoir.percentile_ms(99.0),
-                    latency_bucket_counts=reservoir.bucket_counts,
+                    latency_bucket_counts=latency.value.counts,
                 )
                 responses.send(("done", index, request_id, stats))
             else:  # pragma: no cover - protocol error, ship it back

@@ -54,6 +54,7 @@ from repro.obs import (
     STATUS_ERROR,
     STATUS_OK,
     EventLog,
+    Histogram,
     MetricsRegistry,
     Observability,
     PipelineTrace,
@@ -62,7 +63,7 @@ from repro.obs import (
     get_observability,
 )
 from repro.serving.admission import ADMISSION_POLICIES, ADMIT_SHED
-from repro.serving.stats import LatencyReservoir, ServiceStats
+from repro.serving.stats import ServiceStats
 from repro.utils.timing import SYSTEM_CLOCK, Clock
 
 __all__ = ["QueryService", "ServiceFuture", "ServiceProbe"]
@@ -617,11 +618,14 @@ class QueryService:
         )
         #: Counter values already mirrored into the registry (delta publish).
         self._published = [0, 0, 0, 0, 0, 0]
-        #: Latency bucket counts / sum already mirrored into the histogram.
-        #: The reservoir and the registry histogram share the same bucket
-        #: bounds, so publishing is a bucket-count diff — no per-query
-        #: ``observe()`` on the hot path.
-        self._published_latency: tuple[tuple[int, ...], float] = ((), 0.0)
+        #: Submit-to-answer latency of every answered query, in ms.  It
+        #: shares its bucket bounds with the registry histogram, so
+        #: publishing is a bucket-count diff against the last published
+        #: value — no per-query ``observe()`` on the shared instrument.
+        self._latency = Histogram(
+            "repro_service_latency_ms", "Submit-to-answer latency (ms)."
+        ).labels()
+        self._published_latency = self._latency.value
 
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
@@ -643,7 +647,6 @@ class QueryService:
         self._invalidations = 0
         self._num_batches = 0
         self._batched_queries = 0
-        self._latencies = LatencyReservoir()
         self._first_submit: float | None = None
         self._last_answer: float | None = None
         # Resilience state (also under the lock).
@@ -738,7 +741,7 @@ class QueryService:
                         self._cache_hits += 1
                         self._answered += 1
                         done = self._clock.monotonic()
-                        self._latencies.record(done - now)
+                        self._latency.observe((done - now) * 1000.0)
                         self._last_answer = done
                         future = ServiceFuture(self._clock)
                         if trace is not None:
@@ -1016,7 +1019,7 @@ class QueryService:
         # One ``tolist`` beats a ``float(costs[i])`` numpy-scalar read per
         # query in the settle and cache-insert loops below.
         costs_list: list[float] = costs.tolist()
-        latencies = [now - p.submitted for p in batch]
+        latencies_ms = [(now - p.submitted) * 1000.0 for p in batch]
         with self._lock:
             self._num_batches += 1
             self._batched_queries += len(batch)
@@ -1028,7 +1031,7 @@ class QueryService:
             else:
                 self._consecutive_batch_failures = 0
             self._last_answer = now
-            self._latencies.extend(latencies)
+            self._latency.observe_many(latencies_ms)
             # Skip cache insertion when an invalidation raced the engine call
             # (these costs may predate the index update that triggered it) or
             # the service retired mid-batch — invalidate_cache() no-ops once
@@ -1083,15 +1086,11 @@ class QueryService:
             self._published = current
             in_flight = self._in_flight
             cache_entries = len(self._cache)
-            bucket_counts = self._latencies.bucket_counts
-            total_ms = self._latencies.total_ms
-            prev_counts, prev_ms = self._published_latency
-            if prev_counts:
-                bucket_deltas = [c - p for c, p in zip(bucket_counts, prev_counts)]
-            else:
-                bucket_deltas = list(bucket_counts)
-            sum_delta_ms = total_ms - prev_ms
-            self._published_latency = (bucket_counts, total_ms)
+            latency = self._latency.value
+            published = self._published_latency
+            bucket_deltas = [c - p for c, p in zip(latency.counts, published.counts)]
+            sum_delta_ms = latency.sum - published.sum
+            self._published_latency = latency
         children = (
             metrics.submitted,
             metrics.answered,
@@ -1138,14 +1137,10 @@ class QueryService:
                 num_batches=self._num_batches,
                 avg_batch_size=avg_batch,
                 batch_occupancy=avg_batch / self.max_batch_size,
-                p50_latency_ms=self._latencies.percentile_ms(50.0),
-                p95_latency_ms=self._latencies.percentile_ms(95.0),
-                throughput_qps=(self._answered / elapsed) if elapsed > 0 else 0.0,
                 elapsed_seconds=elapsed,
-                p99_latency_ms=self._latencies.percentile_ms(99.0),
                 shed=self._shed,
                 deadline_expired=self._deadline_expired,
-                latency_bucket_counts=self._latencies.bucket_counts,
+                latency_bucket_counts=self._latency.value.counts,
             )
 
     def probe(self) -> ServiceProbe:

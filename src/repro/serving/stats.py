@@ -2,99 +2,25 @@
 
 :class:`ServiceStats` is an immutable snapshot of a
 :class:`~repro.serving.service.QueryService`'s counters — safe to hand to a
-metrics exporter or print in a benchmark report.  Latency percentiles come
-from a bounded reservoir of the most recent samples so a long-running service
-keeps O(1) memory.
+metrics exporter or print in a benchmark report.  Latency is carried as
+lifetime counts in the shared log-scale buckets of
+:class:`repro.obs.metrics.Histogram`; the percentiles are read from those
+counts, so a single service, a swap-merged deployment and a replica pool
+report them with one meaning.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.obs.metrics import LATENCY_BUCKETS_MS, bucket_percentile
 
-__all__ = ["ServiceStats", "LatencyReservoir"]
-
-#: The shared bucket bounds as an ndarray, for vectorized bucketing.
-_BUCKET_BOUNDS = np.asarray(LATENCY_BUCKETS_MS, dtype=np.float64)
+__all__ = ["ServiceStats"]
 
 
-class LatencyReservoir:
-    """Bounded store of recent latency samples (seconds).
-
-    Alongside the bounded sample window (exact percentiles over *recent*
-    traffic), the reservoir keeps lifetime counts in the fixed log-scale
-    latency buckets shared with :mod:`repro.obs.metrics`.  Bucket counts are
-    cumulative and never evicted, so snapshots from several service
-    generations can be merged *exactly* by summing them — which is what
-    :meth:`ServiceStats.merged` does.
-
-    Not thread-safe on its own; the service records under its lock.
-    """
-
-    __slots__ = ("_samples", "_bucket_counts", "_total_ms")
-
-    def __init__(self, maxlen: int = 4096) -> None:
-        self._samples: deque[float] = deque(maxlen=maxlen)
-        # One slot per bucket bound plus a trailing overflow slot.
-        self._bucket_counts = [0] * (len(LATENCY_BUCKETS_MS) + 1)
-        self._total_ms = 0.0
-
-    def record(self, seconds: float) -> None:
-        value = float(seconds)
-        self._samples.append(value)
-        ms = value * 1000.0
-        self._bucket_counts[bisect_left(LATENCY_BUCKETS_MS, ms)] += 1
-        self._total_ms += ms
-
-    def extend(self, seconds_iterable: Iterable[float]) -> None:
-        """Record a whole batch of latencies with vectorized bucketing.
-
-        The flushed-batch path lands here with hundreds of samples at once;
-        one ``searchsorted`` + ``bincount`` replaces a per-sample ``bisect``
-        (``side="left"`` matches :func:`bisect.bisect_left` exactly).
-        """
-        values = np.asarray(
-            seconds_iterable if isinstance(seconds_iterable, (list, tuple))
-            else list(seconds_iterable),
-            dtype=np.float64,
-        )
-        if values.size == 0:
-            return
-        ms = values * 1000.0
-        slots = np.bincount(
-            np.searchsorted(_BUCKET_BOUNDS, ms, side="left"),
-            minlength=len(self._bucket_counts),
-        )
-        counts = self._bucket_counts
-        for i in np.flatnonzero(slots):
-            counts[i] += int(slots[i])
-        self._total_ms += float(ms.sum())
-        self._samples.extend(values.tolist())
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    @property
-    def bucket_counts(self) -> tuple[int, ...]:
-        """Lifetime latency counts per log-scale bucket (overflow last)."""
-        return tuple(self._bucket_counts)
-
-    @property
-    def total_ms(self) -> float:
-        """Lifetime sum of recorded latencies, in milliseconds."""
-        return self._total_ms
-
-    def percentile_ms(self, q: float) -> float:
-        """The ``q``-th percentile of the stored samples, in milliseconds."""
-        if not self._samples:
-            return 0.0
-        return float(np.percentile(np.fromiter(self._samples, dtype=np.float64), q)) * 1000.0
+#: Bucket counts of a snapshot that has timed nothing yet.
+_NO_LATENCIES: tuple[int, ...] = (0,) * (len(LATENCY_BUCKETS_MS) + 1)
 
 
 @dataclass(frozen=True)
@@ -117,18 +43,10 @@ class ServiceStats:
     avg_batch_size: float
     #: ``avg_batch_size / max_batch_size`` — how full the micro-batches run.
     batch_occupancy: float
-    #: Median / tail submit-to-answer latency over the recent sample window.
-    p50_latency_ms: float
-    p95_latency_ms: float
-    #: Answered queries per second of service wall time (first submit to the
-    #: most recent answer); 0.0 before the first batch completes.
-    throughput_qps: float
     #: Service wall time underlying ``throughput_qps`` (first submit to the
     #: most recent answer).  Carried so snapshots from several service
     #: generations can be merged exactly (see :meth:`merged`).
     elapsed_seconds: float = 0.0
-    #: Tail latency over the same recent sample window as p50/p95.
-    p99_latency_ms: float = 0.0
     #: Queries rejected at admission (``shed`` policy, or a ``block`` wait
     #: that ran past its admission timeout).
     shed: int = 0
@@ -143,10 +61,32 @@ class ServiceStats:
     #: Times a supervisor aborted and restarted the deployment's worker
     #: (host-level counter; 0 on a bare service).
     worker_restarts: int = 0
-    #: Lifetime latency counts in the shared log-scale buckets
-    #: (:data:`~repro.obs.metrics.LATENCY_BUCKETS_MS`, overflow slot last).
-    #: Empty on snapshots that predate bucket tracking.
-    latency_bucket_counts: tuple[int, ...] = ()
+    #: Lifetime submit-to-answer latency counts in the shared log-scale
+    #: buckets (:data:`~repro.obs.metrics.LATENCY_BUCKETS_MS`, overflow slot
+    #: last) — a :class:`~repro.obs.metrics.HistogramValue`'s ``counts``.
+    latency_bucket_counts: tuple[int, ...] = _NO_LATENCIES
+
+    @property
+    def p50_latency_ms(self) -> float:
+        """Median submit-to-answer latency over the snapshot's lifetime,
+        interpolated in the shared buckets (p95/p99 alike)."""
+        return bucket_percentile(LATENCY_BUCKETS_MS, self.latency_bucket_counts, 50.0)
+
+    @property
+    def p95_latency_ms(self) -> float:
+        return bucket_percentile(LATENCY_BUCKETS_MS, self.latency_bucket_counts, 95.0)
+
+    @property
+    def p99_latency_ms(self) -> float:
+        return bucket_percentile(LATENCY_BUCKETS_MS, self.latency_bucket_counts, 99.0)
+
+    @property
+    def throughput_qps(self) -> float:
+        """Answered queries per second of service wall time; 0.0 before the
+        first answer."""
+        if self.elapsed_seconds <= 0:
+            return 0.0
+        return self.queries_answered / self.elapsed_seconds
 
     @property
     def cache_hit_rate(self) -> float:
@@ -158,8 +98,9 @@ class ServiceStats:
     def to_dict(self) -> dict[str, object]:
         """A JSON-serialisable snapshot (the gateway's ``/stats`` payload).
 
-        Plain field values plus the derived ``cache_hit_rate``; the bucket
-        tuple becomes a list so ``json.dumps`` takes it unmodified.
+        Plain field values plus the derived percentiles, throughput and
+        ``cache_hit_rate``; the bucket tuple becomes a list so
+        ``json.dumps`` takes it unmodified.
         """
         return {
             "queries_submitted": self.queries_submitted,
@@ -186,15 +127,12 @@ class ServiceStats:
 
     @classmethod
     def empty(cls) -> "ServiceStats":
-        """An all-zero snapshot with (zeroed) bucket counts.
+        """An all-zero snapshot.
 
         What a spawned-but-unqueried (or dead) replica contributes to a
         pool-wide merge, and what merging no snapshots at all returns.
         """
-        return cls(
-            0, 0, 0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-            latency_bucket_counts=(0,) * (len(LATENCY_BUCKETS_MS) + 1),
-        )
+        return cls(0, 0, 0, 0, 0, 0, 0.0, 0.0)
 
     @classmethod
     def merged(cls, parts: Sequence["ServiceStats"]) -> "ServiceStats":
@@ -203,17 +141,12 @@ class ServiceStats:
         An :class:`~repro.serving.EngineHost` deployment retires its
         :class:`~repro.serving.QueryService` on every hot swap; this folds
         the retired generations and the live one into a single view.  Plain
-        counters add exactly; ``avg_batch_size`` is recomputed from the
-        summed totals; ``throughput_qps`` is total answers over total wall
-        time; ``cache_entries`` reflects the *last* part (the live cache —
-        retired caches are gone).
-
-        Latency percentiles are merged from the shared histogram buckets,
-        which every answering snapshot carries: bucket counts add exactly
-        across generations, so the merged p50/p95/p99 are true percentiles
-        of the combined distribution (to bucket resolution).  Percentiles
-        are *not* averageable — a weighted mean of per-part p99s can produce
-        a value no generation ever saw, or one below a part's own p95.
+        counters, wall time and latency bucket counts add exactly;
+        ``avg_batch_size`` and ``batch_occupancy`` are recomputed from the
+        summed totals; ``cache_entries`` reflects the *last* part (the live
+        cache — retired caches are gone).  The percentiles and throughput
+        are then read from the summed buckets and wall time, never averaged
+        across parts.
         """
         if not parts:
             return cls.empty()
@@ -221,41 +154,23 @@ class ServiceStats:
             return replace(parts[0])
         num_batches = sum(p.num_batches for p in parts)
         batched = sum(p.avg_batch_size * p.num_batches for p in parts)
-        answered = sum(p.queries_answered for p in parts)
-        elapsed = sum(p.elapsed_seconds for p in parts)
-
-        counted = [p for p in parts if p.queries_answered > 0]
-        merged_counts = tuple(
-            sum(p.latency_bucket_counts[i] for p in counted)
-            for i in range(len(LATENCY_BUCKETS_MS) + 1)
-        )
-        p50 = bucket_percentile(LATENCY_BUCKETS_MS, merged_counts, 50.0)
-        p95 = bucket_percentile(LATENCY_BUCKETS_MS, merged_counts, 95.0)
-        p99 = bucket_percentile(LATENCY_BUCKETS_MS, merged_counts, 99.0)
-
-        occupancy = (
-            sum(p.batch_occupancy * p.num_batches for p in parts) / num_batches
-            if num_batches
-            else 0.0
-        )
+        occupancy = sum(p.batch_occupancy * p.num_batches for p in parts)
         return cls(
             queries_submitted=sum(p.queries_submitted for p in parts),
-            queries_answered=answered,
+            queries_answered=sum(p.queries_answered for p in parts),
             cache_hits=sum(p.cache_hits for p in parts),
             cache_entries=parts[-1].cache_entries,
             cache_invalidations=sum(p.cache_invalidations for p in parts),
             num_batches=num_batches,
             avg_batch_size=batched / num_batches if num_batches else 0.0,
-            batch_occupancy=occupancy,
-            p50_latency_ms=p50,
-            p95_latency_ms=p95,
-            throughput_qps=(answered / elapsed) if elapsed > 0 else 0.0,
-            elapsed_seconds=elapsed,
-            p99_latency_ms=p99,
+            batch_occupancy=occupancy / num_batches if num_batches else 0.0,
+            elapsed_seconds=sum(p.elapsed_seconds for p in parts),
             shed=sum(p.shed for p in parts),
             deadline_expired=sum(p.deadline_expired for p in parts),
             retries=sum(p.retries for p in parts),
             degraded_answers=sum(p.degraded_answers for p in parts),
             worker_restarts=sum(p.worker_restarts for p in parts),
-            latency_bucket_counts=merged_counts,
+            latency_bucket_counts=tuple(
+                map(sum, zip(*(p.latency_bucket_counts for p in parts)))
+            ),
         )

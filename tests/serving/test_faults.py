@@ -134,6 +134,24 @@ class TestFaultyEngine:
         assert wrapper.capabilities() == inner_engine.capabilities()
         assert wrapper.graph is inner_engine.graph
 
+    def test_only_serving_wiring_is_delegated(self, inner_engine):
+        wrapper = FaultyEngine(inner_engine)
+        assert wrapper.index is inner_engine.index
+        # Nothing else resolves against the wrapped engine: a name only the
+        # inner engine has, or a misspelling, is an AttributeError.
+        assert hasattr(inner_engine, "statistics")
+        with pytest.raises(AttributeError):
+            wrapper.statistics
+        with pytest.raises(AttributeError):
+            wrapper.indx
+
+    def test_hooks_are_a_no_op_over_an_engine_without_them(self, small_grid):
+        inner = create_engine("td-dijkstra", small_grid)
+        assert not hasattr(inner, "register_invalidation_hook")
+        wrapper = FaultyEngine(inner)
+        wrapper.register_invalidation_hook(lambda: None)
+        wrapper.unregister_invalidation_hook(lambda: None)
+
 
 class TestRegistrySpec:
     def test_faulty_is_listed(self):

@@ -25,9 +25,8 @@ from repro.exceptions import (
     UnknownDeploymentError,
     VertexNotFoundError,
 )
-from repro.obs.metrics import LATENCY_BUCKETS_MS, bucket_percentile
+from repro.obs.metrics import LATENCY_BUCKETS_MS, Histogram, bucket_percentile
 from repro.serving import DeploymentInfo, EngineHost, ServiceStats, SwapReport
-from repro.serving.stats import LatencyReservoir
 
 
 def _workload(graph, count=24, seed=5):
@@ -223,6 +222,33 @@ def test_stats_aggregate_across_swaps(host, small_grid):
     assert everything["prod"].queries_answered == 10
 
 
+def test_percentiles_keep_their_meaning_across_a_swap(host, small_grid):
+    """One generation and a swap-merged deployment read the same buckets."""
+    host.deploy("prod", "td-basic", small_grid)
+    for s, t, d in _workload(small_grid, count=12, seed=11):
+        host.query("prod", s, t, d)
+    before = host.stats("prod")
+    host.swap("prod", create_engine("td-basic", small_grid))
+    after = host.stats("prod")  # the replacement has answered nothing
+    assert after.latency_bucket_counts == before.latency_bucket_counts
+    for q in (50.0, 95.0, 99.0):
+        expected = bucket_percentile(
+            LATENCY_BUCKETS_MS, before.latency_bucket_counts, q
+        )
+        name = f"p{q:.0f}_latency_ms"
+        assert getattr(before, name) == expected
+        assert getattr(after, name) == expected
+
+
+def test_stats_cache_entries_are_the_live_services(host, small_grid):
+    """Regression: the fallback's empty cache used to mask the live one."""
+    host.deploy("prod", "td-basic", small_grid, fallback="td-dijkstra")
+    vertices = sorted(small_grid.vertices())
+    for i in range(5):
+        host.query("prod", vertices[i], vertices[-1 - i], 600.0 * i)
+    assert host.stats("prod").cache_entries == 5
+
+
 def test_swap_under_load_zero_downtime(small_grid):
     """The acceptance scenario: hammering threads see zero errors across a
     swap, every future resolves, and every answer delivered after ``swap``
@@ -398,10 +424,15 @@ def test_aswap_runs_off_loop(host, small_grid):
 # ----------------------------------------------------------------------
 # Stats plumbing
 # ----------------------------------------------------------------------
+def _bucket_counts(latencies_ms):
+    """Latency bucket counts of ``latencies_ms``, as a service records them."""
+    histogram = Histogram("test_latency_ms", "")
+    for ms in latencies_ms:
+        histogram.observe(ms)
+    return histogram.value().counts
+
+
 def test_service_stats_merged_counters():
-    fast, slow = LatencyReservoir(), LatencyReservoir()
-    fast.extend([0.001] * 8)
-    slow.extend([0.003] * 16)
     one = ServiceStats(
         queries_submitted=10,
         queries_answered=8,
@@ -411,11 +442,8 @@ def test_service_stats_merged_counters():
         num_batches=2,
         avg_batch_size=3.0,
         batch_occupancy=0.5,
-        p50_latency_ms=1.0,
-        p95_latency_ms=2.0,
-        throughput_qps=100.0,
         elapsed_seconds=0.08,
-        latency_bucket_counts=fast.bucket_counts,
+        latency_bucket_counts=_bucket_counts([1.0] * 8),
     )
     two = ServiceStats(
         queries_submitted=20,
@@ -426,11 +454,8 @@ def test_service_stats_merged_counters():
         num_batches=6,
         avg_batch_size=2.0,
         batch_occupancy=0.25,
-        p50_latency_ms=3.0,
-        p95_latency_ms=6.0,
-        throughput_qps=200.0,
         elapsed_seconds=0.08,
-        latency_bucket_counts=slow.bucket_counts,
+        latency_bucket_counts=_bucket_counts([3.0] * 16),
     )
     merged = ServiceStats.merged([one, two])
     assert merged.queries_submitted == 30
@@ -441,11 +466,10 @@ def test_service_stats_merged_counters():
     assert merged.num_batches == 8
     assert merged.avg_batch_size == pytest.approx((3.0 * 2 + 2.0 * 6) / 8)
     assert merged.batch_occupancy == pytest.approx((0.5 * 2 + 0.25 * 6) / 8)
-    combined = LatencyReservoir()
-    combined.extend([0.001] * 8 + [0.003] * 16)
-    assert merged.latency_bucket_counts == combined.bucket_counts
+    combined = _bucket_counts([1.0] * 8 + [3.0] * 16)
+    assert merged.latency_bucket_counts == combined
     assert merged.p50_latency_ms == pytest.approx(
-        bucket_percentile(LATENCY_BUCKETS_MS, combined.bucket_counts, 50.0)
+        bucket_percentile(LATENCY_BUCKETS_MS, combined, 50.0)
     )
     assert merged.throughput_qps == pytest.approx(24 / 0.16)
     assert merged.elapsed_seconds == pytest.approx(0.16)
@@ -455,11 +479,12 @@ def test_service_stats_merged_degenerate_cases():
     empty = ServiceStats.merged([])
     assert empty.queries_submitted == 0 and empty.throughput_qps == 0.0
     assert empty.latency_bucket_counts == ServiceStats.empty().latency_bucket_counts
-    one = ServiceStats(1, 1, 0, 0, 0, 1, 1.0, 0.1, 0.0, 0.0, 10.0, 0.1)
+    one = ServiceStats(1, 1, 0, 0, 0, 1, 1.0, 0.1, 0.1)
     assert ServiceStats.merged([one]) == one
 
 
-def _stats_from_reservoir(answered: int, reservoir: LatencyReservoir) -> ServiceStats:
+def _stats_from_latencies(latencies_ms: list[float]) -> ServiceStats:
+    answered = len(latencies_ms)
     return ServiceStats(
         queries_submitted=answered,
         queries_answered=answered,
@@ -469,12 +494,8 @@ def _stats_from_reservoir(answered: int, reservoir: LatencyReservoir) -> Service
         num_batches=1,
         avg_batch_size=float(answered),
         batch_occupancy=1.0,
-        p50_latency_ms=reservoir.percentile_ms(50.0),
-        p95_latency_ms=reservoir.percentile_ms(95.0),
-        throughput_qps=float(answered),
         elapsed_seconds=1.0,
-        p99_latency_ms=reservoir.percentile_ms(99.0),
-        latency_bucket_counts=reservoir.bucket_counts,
+        latency_bucket_counts=_bucket_counts(latencies_ms),
     )
 
 
@@ -482,25 +503,21 @@ def test_service_stats_merged_percentiles_from_buckets():
     """Regression (PR 7): weighted-averaging percentiles is statistically wrong.
 
     Generation one answered 90 fast queries (~0.8 ms); generation two
-    answered 10 slow ones (~3 s).  The old answered-weighted mean reported
-    p99 ≈ (1.0·90 + 3000·10) / 100 ≈ 301 ms — an *impossible* value neither
-    generation ever observed (nothing latencied between 1 ms and 3 s).  The
+    answered 10 slow ones (~3 s).  The old answered-weighted mean of the
+    per-generation p99s reported a value between 1 ms and 2.5 s — an
+    *impossible* value neither generation ever observed.  The
     bucket merge places p99 in the slow generation's bucket, where 10% of
     the combined traffic actually lives.
     """
-    fast = LatencyReservoir()
-    fast.extend([0.0008] * 90)
-    slow = LatencyReservoir()
-    slow.extend([3.0] * 10)
-    merged = ServiceStats.merged(
-        [_stats_from_reservoir(90, fast), _stats_from_reservoir(10, slow)]
-    )
-    impossible = (fast.percentile_ms(99.0) * 90 + slow.percentile_ms(99.0) * 10) / 100
+    fast = _stats_from_latencies([0.8] * 90)
+    slow = _stats_from_latencies([3_000.0] * 10)
+    merged = ServiceStats.merged([fast, slow])
+    impossible = (fast.p99_latency_ms * 90 + slow.p99_latency_ms * 10) / 100
     assert 1.0 < impossible < 2_500.0  # what the old weighted mean reported
     assert merged.p99_latency_ms > 2_500.0  # inside the slow bucket
     assert merged.p50_latency_ms <= 1.0  # the fast mass still dominates p50
     # The merged bucket counts are the exact union of both generations.
     assert sum(merged.latency_bucket_counts) == 100
     assert merged.latency_bucket_counts == tuple(
-        a + b for a, b in zip(fast.bucket_counts, slow.bucket_counts)
+        a + b for a, b in zip(fast.latency_bucket_counts, slow.latency_bucket_counts)
     )

@@ -39,7 +39,7 @@ from repro.exceptions import (
     VertexNotFoundError,
     WorkerCrashedError,
 )
-from repro.obs.metrics import LATENCY_BUCKETS_MS, bucket_percentile
+from repro.obs.metrics import LATENCY_BUCKETS_MS, Histogram, bucket_percentile
 from repro.persistence import save_index
 from repro.serving import (
     EngineHost,
@@ -178,8 +178,10 @@ class TestMergedReplicaStats:
 
     @staticmethod
     def _replica_stats(answered, bucket_slot, *, elapsed, cache_entries=0):
-        buckets = [0] * N_BUCKET_SLOTS
-        buckets[bucket_slot] = answered
+        # Every sample sits on the slot's upper bound, so all land in it.
+        histogram = Histogram("test_replica_latency_ms", "")
+        for _ in range(answered):
+            histogram.observe(LATENCY_BUCKETS_MS[bucket_slot])
         return ServiceStats(
             queries_submitted=answered,
             queries_answered=answered,
@@ -189,12 +191,8 @@ class TestMergedReplicaStats:
             num_batches=max(1, answered // 4),
             avg_batch_size=4.0,
             batch_occupancy=0.5,
-            p50_latency_ms=float(LATENCY_BUCKETS_MS[bucket_slot]),
-            p95_latency_ms=float(LATENCY_BUCKETS_MS[bucket_slot]),
-            throughput_qps=answered / elapsed,
             elapsed_seconds=elapsed,
-            p99_latency_ms=float(LATENCY_BUCKETS_MS[bucket_slot]),
-            latency_bucket_counts=tuple(buckets),
+            latency_bucket_counts=histogram.value().counts,
         )
 
     def test_three_replicas_with_disjoint_generations(self):
