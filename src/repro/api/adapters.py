@@ -427,6 +427,10 @@ def _td_tree_factory(
         validate=validate,
         use_batch_kernels=use_batch_kernels,
     )
+    # Several engines share a build strategy (td-full and td-h2h are both
+    # "full"), so the name is what a snapshot must carry to come back as the
+    # same engine.
+    index.engine_spec = name
     return TDTreeEngine(index, name=name)
 
 

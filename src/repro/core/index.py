@@ -190,6 +190,10 @@ class TDTreeIndex:
         self._build_seconds = dict(build_seconds or {})
         #: Per-OD-pair memo of the batch query engine; cleared on updates.
         self._batch_query_cache: dict = {}
+        #: Registry spec this index realises (the engine name when built via
+        #: ``create_engine``, the manifest's spec when loaded); :meth:`save`
+        #: records it unless told otherwise.  ``None`` when unknown.
+        self.engine_spec: str | None = None
         #: Callbacks fired after the update machinery rewrote labels or
         #: shortcuts (serving layers register their cache invalidation here).
         self._invalidation_hooks: list = []
@@ -421,14 +425,16 @@ class TDTreeIndex:
         """Snapshot the built index to the directory ``path``.
 
         See :mod:`repro.persistence.snapshot` for the format (``.npz`` buffers
-        plus a versioned JSON manifest).  ``engine_spec`` optionally records
-        the registry spec the index realises, making the snapshot servable
-        via ``create_engine("snapshot:<path>")`` under its original engine
-        name.  Returns the directory path.
+        plus a versioned JSON manifest).  ``engine_spec`` records the
+        registry spec the index realises, making the snapshot servable via
+        ``create_engine("snapshot:<path>")`` under its original engine name;
+        it defaults to :attr:`engine_spec`.  Returns the directory path.
         """
         from repro.persistence import save_index
 
         self._check_built()
+        if engine_spec is None:
+            engine_spec = self.engine_spec
         return str(save_index(self, path, engine_spec=engine_spec))
 
     @classmethod

@@ -21,15 +21,16 @@ expanded recursively into original road segments.
 
 **Batch API.**  :func:`batch_cost_query` answers many scalar (OD, departure)
 queries in one call.  Instead of one tree sweep per query, the whole batch
-shares two *global* sweeps over a matrix with one row per tree node and one
-column per query: every node relaxes once (in height order) with a single
-vectorized kernel call (:mod:`repro.functions.batch`) covering all of its
-label functions and all query columns.  For an individual query, nodes off
-its source/target root path carry ``inf`` state and contribute exact no-ops,
-so the returned costs are bit-identical to looping
-:func:`basic_cost_query` / :func:`shortcut_cost_query` over the same queries
-— the batch kernels and the scalar fast path share one interpolation formula
-— and the batch engine is a pure throughput optimisation.
+shares one ascending and one descending sweep over a matrix with one row per
+node on the union of the batch's source (respectively target) root paths and
+one column per query: every such node relaxes once (in height order) with a
+single vectorized kernel call (:mod:`repro.functions.batch`) covering all of
+its label functions and all query columns.  For an individual query, nodes
+off its own root path carry ``inf`` state and contribute exact no-ops, so
+the returned costs are bit-identical to looping :func:`basic_cost_query` /
+:func:`shortcut_cost_query` over the same queries — the batch kernels and
+the scalar fast path share one interpolation formula — and the batch engine
+is a pure throughput optimisation.
 """
 
 from __future__ import annotations
@@ -765,12 +766,6 @@ def _pair_groups(
     ]
 
 
-#: Trees up to this many nodes use the cached whole-tree sweep plan; larger
-#: trees get a per-call plan restricted to the union of the batch's root
-#: paths, keeping the sweep matrices at O(union x queries) instead of
-#: O(num_tree_nodes x queries).
-_GLOBAL_PLAN_MAX_ROWS = 4096
-
 #: Upper bound on memoised per-OD-pair shortcut lookups (see ``_pair_info``).
 _PAIR_CACHE_MAX_ENTRIES = 65_536
 
@@ -780,16 +775,13 @@ def _sweep_plan_for(
 ) -> tuple[dict[int, int], tuple]:
     """Row map and relaxation steps for one direction of the batched sweep.
 
-    Small trees reuse the cached whole-tree plan (off-chain rows are exact
-    ``inf`` no-ops).  For large trees a compact plan over the union of the
-    endpoints' root paths is built instead: the union is ancestor-closed, so
-    every relaxation a query's chain performs stays inside it and the
-    per-column results are unchanged.  The size check comes first so a large
-    tree never pays for (or caches) the whole-tree plan.
+    The plan covers the union of the endpoints' root paths, built per call.
+    The union is ancestor-closed, so every relaxation a query's chain
+    performs stays inside it, and the matrices stay O(union x queries).
+    Rows are ordered by decreasing height; each step is ``(row, uppers,
+    batch, upper_rows)`` for a node with a non-empty ``Ws`` (``kind="asc"``,
+    deepest first) or ``Wd`` list (``kind="desc"``, root side first).
     """
-    if len(tree.nodes) <= _GLOBAL_PLAN_MAX_ROWS:
-        row_of, asc_steps, desc_steps = tree.sweep_plan()
-        return row_of, (asc_steps if kind == "asc" else desc_steps)
     union: set[int] = set()
     for vertex in endpoints:
         union.update(tree.root_path(int(vertex)))
@@ -856,11 +848,11 @@ def _descend_sweep(
     """Batched descending relaxation over a whole column batch.
 
     ``mat`` is a ``(rows, Q)`` arrival matrix pre-seeded with each column's
-    cut-vertex arrivals (``inf`` = no seed).  Nodes relax root side first; a
-    node reads only its ``Wd`` uppers (all ancestors), so for any column the
-    values read along its target's root path are exactly the scalar sweep's
-    — state leaking onto off-chain rows is never read for that column's
-    answer.
+    common-ancestor arrivals (``inf`` = no seed).  Nodes relax root side
+    first; a node reads only its ``Wd`` uppers (all ancestors), so for any
+    column the values read along its target's root path are exactly the
+    scalar sweep's — state leaking onto off-chain rows is never read for
+    that column's answer.
     """
     for row, _uppers, batch, upper_rows in desc_steps:
         t_mat = mat[upper_rows]
@@ -873,68 +865,8 @@ def _descend_sweep(
         mat[row] = np.minimum(mat[row], candidates.min(axis=0))
 
 
-def _seed_descent(
-    row_up: dict[int, int],
-    row_down: dict[int, int],
-    mat_up: np.ndarray,
-    mat_down: np.ndarray,
-    dep: np.ndarray,
-    source: int,
-    target: int,
-    meet: tuple[int, ...],
-    cols: np.ndarray,
-) -> None:
-    """Seed ``mat_down`` with one pair group's common-ancestor arrivals.
-
-    Mirrors the scalar seeding exactly: seeds are ``departure + up_cost`` at
-    every vertex of the meeting chain (``inf`` = unreachable = absent) and a
-    query with no finite seed is disconnected.  The meeting chain lies on both
-    endpoints' root paths, so it has rows in both maps; when the source itself
-    is a common ancestor its up-cost is zero, which seeds its plain departure.
-    """
-    up_rows = np.fromiter((row_up[w] for w in meet), np.int64, len(meet))
-    down_rows = np.fromiter((row_down[w] for w in meet), np.int64, len(meet))
-    up = mat_up[np.ix_(up_rows, cols)]
-    mat_down[np.ix_(down_rows, cols)] = dep[cols][None, :] + up
-    if not np.isfinite(up).any(axis=0).all():
-        raise DisconnectedQueryError(source, target)
-
-
-def _batch_costs_basic(
-    tree: TFPTreeDecomposition,
-    sources: np.ndarray,
-    targets: np.ndarray,
-    departures: np.ndarray,
-    out: np.ndarray,
-    queries: np.ndarray,
-) -> None:
-    """Batched Algorithm 3: fill ``out[queries]`` with basic travel costs."""
-    row_up, asc_steps = _sweep_plan_for(tree, sources[queries], "asc")
-    row_down, desc_steps = _sweep_plan_for(tree, targets[queries], "desc")
-    q = queries.size
-    dep = departures[queries]
-    cols_all = np.arange(q)
-    src_rows = np.fromiter((row_up[int(v)] for v in sources[queries]), np.int64, q)
-    tgt_rows = np.fromiter((row_down[int(v)] for v in targets[queries]), np.int64, q)
-
-    mat_up = np.full((len(row_up), q), np.inf)
-    mat_up[src_rows, cols_all] = 0.0
-    _ascend_sweep(asc_steps, dep, mat_up)
-
-    mat_down = np.full((len(row_down), q), np.inf)
-    for source, target, cols in _pair_groups(sources, targets, queries):
-        meet = _meeting_chain(tree, source, target)
-        _seed_descent(
-            row_up, row_down, mat_up, mat_down, dep, source, target, meet, cols
-        )
-    _descend_sweep(desc_steps, mat_down)
-
-    arrival = mat_down[tgt_rows, cols_all]
-    bad = ~np.isfinite(arrival)
-    if bad.any():
-        first = queries[np.nonzero(bad)[0][0]]
-        raise DisconnectedQueryError(int(sources[first]), int(targets[first]))
-    out[queries] = arrival - dep
+def _plan_rows(row_of: dict[int, int], vertices: np.ndarray) -> np.ndarray:
+    return np.fromiter((row_of[int(v)] for v in vertices), np.int64, vertices.size)
 
 
 def _pair_info(
@@ -944,12 +876,13 @@ def _pair_info(
     target: int,
     cache: dict | None,
 ):
-    """Resolve (and memoise) one OD pair's cut, meeting chain and shortcut hits.
+    """Resolve (and memoise) one OD pair's shortcut hits on its vertex cut.
 
-    Returns ``(meet, forward_hits, backward_hits, batches)`` where ``meet`` is
-    the common-ancestor chain used to seed the sweep regimes and ``batches``
-    is the packed ``(forward, backward)`` :class:`PLFBatch` pair when *every*
-    needed shortcut is selected (Algorithm 6 case 1) and ``None`` otherwise.
+    Returns ``(forward_hits, backward_hits, batches)``.  ``batches`` is the
+    packed ``(forward, backward)`` :class:`PLFBatch` pair when *every* needed
+    shortcut is selected (Algorithm 6 case 1) and ``None`` otherwise.  A pair
+    whose only hits are the zero functions at its own endpoints gets empty
+    hit maps: those hits seed and bound nothing the plain sweep does not.
     """
     cached = cache.get((source, target)) if cache is not None else None
     if cached is None:
@@ -958,7 +891,6 @@ def _pair_info(
             # new OD pairs must not grow the index footprint without limit.
             cache.clear()
         cut = tree.vertex_cut(source, target)
-        meet = _meeting_chain(tree, source, target, lca=cut[0])
         forward_hits: dict[int, PiecewiseLinearFunction] = {}
         backward_hits: dict[int, PiecewiseLinearFunction] = {}
         for w in cut:
@@ -968,14 +900,15 @@ def _pair_info(
             bwd = _backward_shortcut(shortcuts, target, w)
             if bwd is not None:
                 backward_hits[w] = bwd
+        batches = None
         if len(forward_hits) == len(cut) and len(backward_hits) == len(cut):
             batches = (
                 PLFBatch.from_functions([forward_hits[w] for w in cut]),
                 PLFBatch.from_functions([backward_hits[w] for w in cut]),
             )
-        else:
-            batches = None
-        cached = (meet, forward_hits, backward_hits, batches)
+        elif set(forward_hits) <= {source} and set(backward_hits) <= {target}:
+            forward_hits, backward_hits = {}, {}
+        cached = (forward_hits, backward_hits, batches)
         if cache is not None:
             cache[(source, target)] = cached
     return cached
@@ -997,38 +930,47 @@ def _batch_costs_full(
     return best
 
 
-def _batch_costs_partial(
+def _batch_costs_sweep(
     tree: TFPTreeDecomposition,
-    groups: list[tuple[int, int, np.ndarray, tuple, dict, dict]],
+    sources: np.ndarray,
+    targets: np.ndarray,
     departures: np.ndarray,
     out: np.ndarray,
+    queries: np.ndarray,
+    hit_groups: list[tuple[np.ndarray, dict, dict]],
 ) -> None:
-    """Batched Algorithm 6 cases 2/3 for all partially-covered pairs at once.
+    """Batched Algorithms 3 and 6 (cases 2/3): fill ``out[queries]`` by two sweeps.
 
-    Every group's available shortcuts seed the ascending sweep (exact costs,
-    skipped from further relaxation) and bound the traversal per column; the
-    shared sweeps then run once for all groups together.
+    Every column starts at its source with cost zero.  ``hit_groups`` lists
+    the pair groups (query indices, forward hits, backward hits) that have
+    selected shortcuts on their cut: their forward hits seed exact costs
+    (skipped from further relaxation), their common hits bound the traversal
+    per column, and their backward hits add candidate answers.  With no hit
+    groups — a basic index — this is the plain Algorithm 3 traversal.
+
+    The descent is seeded, for all columns at once, at every vertex on both
+    plans: ``departure + up_cost``.  For one column that is exactly the
+    scalar seeding on its target's root path (up costs are finite only on
+    the source's root path, so the finite seeds there are the common
+    ancestors), and seeds off that path are never read for its answer.
     """
-    all_q = np.concatenate([g[2] for g in groups])
-    group_sources = np.array([g[0] for g in groups], dtype=np.int64)
-    group_targets = np.array([g[1] for g in groups], dtype=np.int64)
-    row_up, asc_steps = _sweep_plan_for(tree, group_sources, "asc")
-    row_down, desc_steps = _sweep_plan_for(tree, group_targets, "desc")
-    q = all_q.size
-    dep = departures[all_q]
+    q = queries.size
+    dep = departures[queries]
     cols_all = np.arange(q)
+    query_sources = sources[queries]
+    query_targets = targets[queries]
+    row_up, asc_steps = _sweep_plan_for(tree, np.unique(query_sources), "asc")
+    row_down, desc_steps = _sweep_plan_for(tree, np.unique(query_targets), "desc")
 
     mat_up = np.full((len(row_up), q), np.inf)
+    mat_up[_plan_rows(row_up, query_sources), cols_all] = 0.0
     upper_bound = np.full(q, np.inf)
     skip_lists: dict[int, list[np.ndarray]] = {}
-    offset = 0
-    col_slices = []
-    for source, target, qidx, meet, forward_hits, backward_hits in groups:
-        cols = cols_all[offset : offset + qidx.size]
-        col_slices.append(cols)
-        offset += qidx.size
+    column = np.empty(sources.size, dtype=np.int64)
+    column[queries] = cols_all
+    hit_groups = [(column[qidx], fwd, bwd) for qidx, fwd, bwd in hit_groups]
+    for cols, forward_hits, backward_hits in hit_groups:
         dep_cols = dep[cols]
-        mat_up[row_up[source], cols] = 0.0
         forward_values: dict[int, np.ndarray] = {}
         for w, func in forward_hits.items():
             values = np.asarray(func.evaluate(dep_cols), dtype=np.float64)
@@ -1041,36 +983,34 @@ def _batch_costs_partial(
                 backward_hits[w].evaluate(dep_cols + first), dtype=np.float64
             )
             upper_bound[cols] = np.minimum(upper_bound[cols], first + second)
-    skip_cols = {
-        w: parts[0] if len(parts) == 1 else np.concatenate(parts)
-        for w, parts in skip_lists.items()
-    }
-    _ascend_sweep(asc_steps, dep, mat_up, bound=upper_bound, skip_cols=skip_cols)
+    bound = bound_arrival = None
+    if np.isfinite(upper_bound).any():
+        bound = upper_bound
+        bound_arrival = np.where(np.isfinite(upper_bound), dep + upper_bound, np.inf)
+    skip_cols = {w: np.concatenate(parts) for w, parts in skip_lists.items()}
+    _ascend_sweep(asc_steps, dep, mat_up, bound=bound, skip_cols=skip_cols)
 
+    shared = np.fromiter((w for w in row_down if w in row_up), np.int64)
     mat_down = np.full((len(row_down), q), np.inf)
-    for (source, target, qidx, meet, _fwd, _bwd), cols in zip(groups, col_slices):
-        _seed_descent(
-            row_up, row_down, mat_up, mat_down, dep, source, target, meet, cols
-        )
-    bound_arrival = np.where(np.isfinite(upper_bound), dep + upper_bound, np.inf)
+    mat_down[_plan_rows(row_down, shared)] = (
+        dep[None, :] + mat_up[_plan_rows(row_up, shared)]
+    )
     _descend_sweep(desc_steps, mat_down, bound_arrival=bound_arrival)
 
-    for (source, target, qidx, _meet, _fwd, backward_hits), cols in zip(
-        groups, col_slices
-    ):
-        arrival = mat_down[row_down[target], cols]
-        dep_cols = dep[cols]
+    arrival = mat_down[_plan_rows(row_down, query_targets), cols_all]
+    for cols, _fwd, backward_hits in hit_groups:
         # The backward shortcuts give additional candidate answers.
         for w, func in backward_hits.items():
-            w_cost = mat_up[row_up[w], cols]
-            depart_w = dep_cols + w_cost
-            arrival = np.minimum(
-                arrival,
+            depart_w = dep[cols] + mat_up[row_up[w], cols]
+            arrival[cols] = np.minimum(
+                arrival[cols],
                 depart_w + np.asarray(func.evaluate(depart_w), dtype=np.float64),
             )
-        if not np.isfinite(arrival).all():
-            raise DisconnectedQueryError(source, target)
-        out[qidx] = arrival - dep_cols
+    bad = ~np.isfinite(arrival)
+    if bad.any():
+        first = queries[np.nonzero(bad)[0][0]]
+        raise DisconnectedQueryError(int(sources[first]), int(targets[first]))
+    out[queries] = arrival - dep
 
 
 def batch_cost_query(
@@ -1117,29 +1057,26 @@ def batch_cost_query(
         tree.node(int(vertex))
 
     costs = np.zeros(sources.size)
-    queries = np.nonzero(sources != targets)[0]
-    if not queries.size:
-        strategy = "shortcuts" if shortcuts else "basic"
-        return BatchQueryResult(sources, targets, departures, costs, strategy)
-    if shortcuts:
-        partial_groups = []
-        for source, target, local in _pair_groups(sources, targets, queries):
-            qidx = queries[local]
-            meet, forward_hits, backward_hits, batches = _pair_info(
+    swept = sources != targets
+    pending = np.nonzero(swept)[0]
+    hit_groups = []
+    if shortcuts and pending.size:
+        for source, target, local in _pair_groups(sources, targets, pending):
+            qidx = pending[local]
+            forward_hits, backward_hits, batches = _pair_info(
                 tree, shortcuts, source, target, cache
             )
             if batches is not None:
                 costs[qidx] = _batch_costs_full(
                     batches, source, target, departures[qidx]
                 )
-            else:
-                partial_groups.append(
-                    (source, target, qidx, meet, forward_hits, backward_hits)
-                )
-        if partial_groups:
-            _batch_costs_partial(tree, partial_groups, departures, costs)
-        strategy = "shortcuts"
-    else:
-        _batch_costs_basic(tree, sources, targets, departures, costs, queries)
-        strategy = "basic"
+                swept[qidx] = False
+            elif forward_hits or backward_hits:
+                hit_groups.append((qidx, forward_hits, backward_hits))
+    queries = np.nonzero(swept)[0]
+    if queries.size:
+        _batch_costs_sweep(
+            tree, sources, targets, departures, costs, queries, hit_groups
+        )
+    strategy = "shortcuts" if shortcuts else "basic"
     return BatchQueryResult(sources, targets, departures, costs, strategy)

@@ -100,10 +100,6 @@ class TFPTreeDecomposition:
         #: (built lazily, invalidated when the update machinery rewrites labels).
         self._ws_batch_cache: dict[int, tuple[PLFBatch, tuple[int, ...]]] = {}
         self._wd_batch_cache: dict[int, tuple[PLFBatch, tuple[int, ...]]] = {}
-        #: Monotone counter bumped whenever labels change; cached sweep plans
-        #: carry the version they were built against.
-        self._label_version = 0
-        self._sweep_plan_cache: tuple[int, tuple] | None = None
         #: Per-ordered-pair contributor table used by the update machinery
         #: (structure-only, so weight updates never stale it; built lazily).
         self._pair_contributors_cache: dict[tuple[int, int], list[int]] | None = None
@@ -297,10 +293,9 @@ class TFPTreeDecomposition:
 
         ``vertices=None`` clears everything; otherwise only the given tree
         nodes are invalidated (the update machinery passes the set it repaired).
-        Sweep plans key on the label version, so bumping it lazily invalidates
-        every cached plan that referenced the stale batches.
+        Batched query sweeps build their plans per call from these batches,
+        so dropping the batches is all a label rewrite needs.
         """
-        self._label_version += 1
         if vertices is None:
             self._ws_batch_cache.clear()
             self._wd_batch_cache.clear()
@@ -336,43 +331,6 @@ class TFPTreeDecomposition:
             self._pair_contributors_cache = cached
         return cached
 
-    def sweep_plan(self):
-        """Cached global plan of the batched tree sweeps.
-
-        Returns ``(row_of, asc_steps, desc_steps)``: a vertex-to-row map over
-        *all* tree nodes (rows ordered by decreasing height, i.e. deepest
-        first) plus one step per node with a non-empty ``Ws`` (ascending
-        order: deepest first) respectively ``Wd`` list (descending order:
-        root side first).  Each step is ``(row, uppers, batch, upper_rows)``.
-
-        Processing every node in height order is a strict superset of the
-        per-chain sweeps of Algorithm 3: for any individual query, nodes off
-        its source/target root path carry ``inf`` state and contribute exact
-        no-ops, so a whole batch of queries with different endpoints shares
-        one matrix-shaped sweep without changing any per-query result.
-        """
-        cached = self._sweep_plan_cache
-        if cached is not None and cached[0] == self._label_version:
-            return cached[1]
-        ordered = sorted(self.nodes, key=lambda v: -self.nodes[v].height)
-        row_of = {v: i for i, v in enumerate(ordered)}
-        asc_steps = []
-        desc_steps = []
-        for vertex in ordered:
-            node = self.nodes[vertex]
-            if node.ws:
-                batch, uppers = self.ws_batch(vertex)
-                rows = np.array([row_of[u] for u in uppers], dtype=np.int64)
-                asc_steps.append((row_of[vertex], uppers, batch, rows))
-            if node.wd:
-                batch, uppers = self.wd_batch(vertex)
-                rows = np.array([row_of[u] for u in uppers], dtype=np.int64)
-                desc_steps.append((row_of[vertex], uppers, batch, rows))
-        desc_steps.reverse()  # increasing height: root side relaxes first
-        plan = (row_of, tuple(asc_steps), tuple(desc_steps))
-        self._sweep_plan_cache = (self._label_version, plan)
-        return plan
-
     # ------------------------------------------------------------------
     # Flat-array export / import (snapshot format)
     # ------------------------------------------------------------------
@@ -382,7 +340,7 @@ class TFPTreeDecomposition:
         Nodes are emitted in elimination order — the same order
         :func:`decompose` inserts them — so :meth:`from_arrays` reproduces
         the original dictionary iteration order everywhere it matters
-        (children lists, sweep plans, label batches).  Bags and the per-node
+        (children lists and label batches).  Bags and the per-node
         ``Ws``/``Wd`` label lists are ragged arrays; the label functions
         themselves ride in two :class:`~repro.functions.batch.PLFBatch`
         layouts (``tree_ws_plf_*`` / ``tree_wd_plf_*``).

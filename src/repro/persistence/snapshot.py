@@ -113,9 +113,9 @@ def save_index(index, path, *, engine_spec: str | None = None) -> Path:
         "repro_version": __version__,
         "arrays_file": ARRAYS_NAME,
         "snapshot_token": token,
-        # The originating engine spec (None when saved through the bare
-        # index surface) plus the registry mutation counter at save time —
-        # what "snapshot:<path>" specs rehydrate from.
+        # The originating engine spec (None when unknown) plus the registry
+        # mutation counter at save time — what "snapshot:<path>" specs
+        # rehydrate from.
         "engine_spec": engine_spec,
         "registry_version": registry_version(),
         "strategy": index.strategy,
@@ -290,7 +290,7 @@ def load_index(path, *, mmap_mode: str | None = None):
         budget=selection_meta.get("budget"),
     )
     max_points = manifest.get("max_points")
-    return TDTreeIndex(
+    index = TDTreeIndex(
         graph,
         tree,
         shortcuts,
@@ -301,6 +301,8 @@ def load_index(path, *, mmap_mode: str | None = None):
         max_points=None if max_points is None else int(max_points),
         tolerance=float(manifest.get("tolerance", 0.0)),
     )
+    index.engine_spec = manifest.get("engine_spec") or None
+    return index
 
 
 def _check_count(counts: dict, key: str, actual: int, directory: Path) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.query import basic_cost_query, batch_cost_query, shortcut_cost_query
 from repro.core.shortcuts import build_shortcut_catalog
@@ -98,27 +99,75 @@ def test_batch_rejects_unknown_vertices(basic_index):
         basic_index.batch_query([0], [10_000], [0.0])
 
 
-def test_batch_raises_on_disconnected_queries():
+@pytest.mark.parametrize("name", ["td-basic", "td-appro"])
+def test_batch_raises_on_disconnected_queries(name):
     graph = TDGraph()
     graph.add_bidirectional_edge(0, 1, PiecewiseLinearFunction.constant(10.0))
+    graph.add_bidirectional_edge(1, 4, PiecewiseLinearFunction.constant(10.0))
     graph.add_bidirectional_edge(2, 3, PiecewiseLinearFunction.constant(10.0))
-    engine = create_engine("td-basic?validate=false", graph)
+    engine = create_engine(f"{name}?validate=false", graph)
     with pytest.raises(DisconnectedQueryError):
         engine.batch_query([0], [3], [0.0])
+    # One disconnected row fails the whole mixed batch.
+    with pytest.raises(DisconnectedQueryError):
+        engine.batch_query([0, 1, 0, 2], [4, 0, 2, 3], [0.0, 5.0, 9.0, 1.0])
 
 
-def test_restricted_sweep_plan_matches_global(basic_index, approx_index, monkeypatch):
-    """Large-tree mode (union-restricted sweep plans) must not change results."""
-    import repro.core.query as query_module
+@st.composite
+def _batches(draw):
+    """Aligned (source index, target index, departure) rows with repeats.
 
-    for engine in (basic_index, approx_index):
-        sources, targets, departures = _workload(engine.graph, count=40, seed=21)
-        expected = engine.batch_query(sources, targets, departures).costs
-        monkeypatch.setattr(query_module, "_GLOBAL_PLAN_MAX_ROWS", 1)
-        engine.index._batch_query_cache.clear()
-        restricted = engine.batch_query(sources, targets, departures).costs
-        monkeypatch.undo()
-        assert np.array_equal(expected, restricted)
+    Rows draw from small pools of pairs and departures, so batches carry
+    repeated pairs and duplicate departures; a pool pair with no target is a
+    same-vertex row.
+    """
+    vertex = st.integers(min_value=0, max_value=24)
+    size = draw(st.integers(min_value=1, max_value=48))
+    pairs = draw(
+        st.lists(st.tuples(vertex, st.none() | vertex), min_size=1, max_size=size)
+    )
+    departures = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=86_400.0), min_size=1, max_size=size
+        )
+    )
+    rows = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pairs), st.sampled_from(departures)),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    sources = [s for (s, _), _ in rows]
+    targets = [s if t is None else t for (s, t), _ in rows]
+    return sources, targets, [d for _, d in rows]
+
+
+@pytest.fixture(scope="module")
+def property_engines(small_grid):
+    return {
+        name: create_engine(f"{name}?max_points=16", small_grid)
+        for name in ("td-basic", "td-appro", "td-h2h")
+    }
+
+
+@pytest.mark.parametrize("name", ["td-basic", "td-appro", "td-h2h"])
+@settings(max_examples=25, deadline=None)
+@given(batch=_batches())
+def test_batch_equals_scalar_loop_property(property_engines, name, batch):
+    engine = property_engines[name]
+    vertices = sorted(engine.graph.vertices())
+    sources = np.array([vertices[i] for i in batch[0]])
+    targets = np.array([vertices[i] for i in batch[1]])
+    departures = np.array(batch[2])
+    expected = np.array(
+        [
+            engine.query(int(s), int(t), float(d)).cost
+            for s, t, d in zip(sources, targets, departures)
+        ]
+    )
+    result = engine.batch_query(sources, targets, departures)
+    assert np.array_equal(result.costs, expected)
 
 
 def test_module_level_batch_query_matches_index(basic_index):

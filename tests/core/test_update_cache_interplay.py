@@ -1,8 +1,8 @@
 """Update / cache interplay: every cached layer must converge after updates.
 
 ``apply_edge_updates`` repairs labels and shortcuts incrementally; three
-caching layers sit on top of them (per-node label batches + sweep plans on
-the tree, per-OD-pair batches on the index, the serving result cache).  After
+caching layers sit on top of them (per-node label batches on the tree,
+per-OD-pair batches on the index, the serving result cache).  After
 an update, answers served through **every** entry point must match an index
 built from scratch over the updated graph — the strongest oracle available.
 """

@@ -16,6 +16,7 @@ import pytest
 from repro import TDTreeIndex, create_engine
 from repro.api import QueryOptions, TDTreeEngine
 from repro.exceptions import SnapshotError
+from repro.graph import grid_network
 from repro.persistence import (
     ARRAYS_NAME,
     FORMAT_VERSION,
@@ -159,10 +160,24 @@ def test_manifest_records_engine_spec_and_registry_version(approx_index, tmp_pat
     assert manifest["registry_version"] == registry_version()
 
 
-def test_manifest_engine_spec_defaults_to_none(approx_index, tmp_path):
-    manifest = read_manifest(approx_index.index.save(tmp_path / "snap"))
+def test_manifest_engine_spec_defaults_to_none(small_grid, tmp_path):
+    """An index no registry engine built has no spec to record."""
+    index = TDTreeIndex._build(small_grid, strategy="basic", max_points=None)
+    manifest = read_manifest(index.save(tmp_path / "snap"))
     assert manifest["engine_spec"] is None
     assert isinstance(manifest["registry_version"], int)
+
+
+@pytest.mark.parametrize("name", ["td-basic", "td-dp", "td-appro", "td-full", "td-h2h"])
+def test_snapshot_round_trip_keeps_engine_name(name, tmp_path):
+    """Engines sharing a build strategy (td-full, td-h2h) keep their own name."""
+    engine = create_engine(name, grid_network(4, 4, seed=7))
+    directory = engine.index.save(tmp_path / "snap")
+    assert read_manifest(directory)["engine_spec"] == name
+    loaded = create_engine(f"snapshot:{directory}")
+    assert loaded.name == name
+    resaved = loaded.index.save(tmp_path / "again")
+    assert create_engine(f"snapshot:{resaved}").name == name
 
 
 def test_manifest_without_spec_fields_still_loads(approx_index, tmp_path):
