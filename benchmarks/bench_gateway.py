@@ -261,9 +261,7 @@ def test_gateway_open_loop_overload():
     index = built_index("TD-H2H", DATASET, C).index
     payloads, oracle = _payloads_and_oracle(index)
 
-    host = EngineHost(
-        max_batch_size=256, max_wait_ms=2.0, cache_size=0, obs=Observability()
-    )
+    host = EngineHost(max_batch_size=256, cache_size=0, obs=Observability())
     host.deploy("prod", index)
     try:
         with serve_in_background(GatewayApp(host, config=LOOSE_EDGE)) as probe:

@@ -165,14 +165,13 @@ def test_service_throughput_vs_loop():
             stats = None
             # Batch size sized to the workload burst: the basic strategy's
             # tree sweep has a per-batch fixed cost, so needlessly splitting a
-            # burst into several flushes wastes it.  max_wait still bounds
-            # tail latency for trickling traffic; the cache is off to measure
-            # pure batching.  Telemetry is off to keep this the same quantity
+            # burst into several inline flushes wastes it.  The cache is off
+            # to measure pure batching.  Telemetry is off to keep this the same quantity
             # the target was set against: batching vs a per-call loop
             # (neither side instrumented).  What telemetry costs has its own
             # gate — the --obs scenario below.
             with QueryService(
-                index, max_batch_size=512, max_wait_ms=100.0, cache_size=0,
+                index, max_batch_size=512, cache_size=0,
                 obs=Observability.disabled(),
             ) as service:
                 def _loop_round():
@@ -249,8 +248,9 @@ def test_host_swap_under_load(request):
     Four threads hammer one deployment while the main thread swaps it from a
     CAL index to one built on a clone with every profile slowed 1.5x (so old
     and new answers are distinguishable).  Enforced: zero submitter errors,
-    every future resolved, and all answers delivered after ``swap`` returned
-    bit-identical to the replacement engine's scalar ``query``.  The row
+    every future resolved, all answers delivered after ``swap`` returned
+    bit-identical to the replacement engine's scalar ``query``, and a mean
+    batch above one query (concurrent submitters share flushes).  The row
     written to ``results/BENCH_serving.json`` carries the swap latency split
     and the zero-downtime counters.
     """
@@ -274,7 +274,7 @@ def test_host_swap_under_load(request):
     old_costs = {q: old_engine.query(*q).cost for q in workload}
     new_costs = {q: replacement.query(*q).cost for q in workload}
 
-    host = EngineHost(max_batch_size=256, max_wait_ms=2.0, cache_size=0)
+    host = EngineHost(max_batch_size=256, cache_size=0)
     host.deploy("prod", old_engine)
     stop = threading.Event()
     errors: list[BaseException] = []
@@ -313,6 +313,7 @@ def test_host_swap_under_load(request):
     # exists to detect.
     stuck_threads = [thread for thread in threads if thread.is_alive()]
     wall = time.perf_counter() - started
+    avg_batch_size = host.stats("prod").avg_batch_size
     if not stuck_threads:
         host.close()  # a stuck thread would make close() hang too
 
@@ -339,6 +340,7 @@ def test_host_swap_under_load(request):
             "swap_drain_s": report.drain_seconds,
             "drained_queries": report.drained_queries,
             "qps_under_swap": len(results) / wall,
+            "avg_batch_size": avg_batch_size,
         }
     ]
     register_report(
@@ -351,6 +353,9 @@ def test_host_swap_under_load(request):
     assert before and after, "load must straddle the swap"
     assert mismatches == 0, "post-swap answers must match the replacement engine"
     assert in_flight_wrong == 0, "in-flight answers must come from one of the engines"
+    # Four closed-loop submitters: queries that arrive while a flush runs
+    # must leave together, not one engine call each.
+    assert avg_batch_size > 1.0, f"hammer never batched: {avg_batch_size:.2f}"
 
 
 def test_resilience_under_overload(request):
@@ -378,9 +383,7 @@ def test_resilience_under_overload(request):
     workload = list(zip(sources.tolist(), targets.tolist(), departures.tolist()))
 
     # Phase 1: closed-loop capacity of the same engine behind a service.
-    with QueryService(
-        engine, max_batch_size=256, max_wait_ms=2.0, cache_size=0
-    ) as service:
+    with QueryService(engine, max_batch_size=256, cache_size=0) as service:
         started = time.perf_counter()
         futures = [service.submit(s, t, d) for s, t, d in workload]
         service.flush()
@@ -397,7 +400,6 @@ def test_resilience_under_overload(request):
     with QueryService(
         engine,
         max_batch_size=256,
-        max_wait_ms=2.0,
         cache_size=0,
         max_pending=256,
         admission_policy="shed",
@@ -526,10 +528,9 @@ def test_observability_overhead(request):
         baseline_times: list[float] = []
         telemetry_times: list[float] = []
         with QueryService(
-            index, max_batch_size=512, max_wait_ms=100.0, cache_size=0,
-            obs=Observability.disabled(),
+            index, max_batch_size=512, cache_size=0, obs=Observability.disabled()
         ) as baseline_service, QueryService(
-            index, max_batch_size=512, max_wait_ms=100.0, cache_size=0, obs=obs
+            index, max_batch_size=512, cache_size=0, obs=obs
         ) as telemetry_service:
             cycle(baseline_service)  # untimed warm-up for both sides
             cycle(telemetry_service)
@@ -757,9 +758,7 @@ def test_service_submit_benchmark(benchmark):
 
     # cache_size=0: with the cache on, every round after the first would be
     # pure LRU hits and the benchmark would stop tracking the batching path.
-    with QueryService(
-        index, max_batch_size=512, max_wait_ms=100.0, cache_size=0
-    ) as service:
+    with QueryService(index, max_batch_size=512, cache_size=0) as service:
 
         def cycle():
             futures = [service.submit(s, t, d) for s, t, d in queries]

@@ -192,7 +192,7 @@ def test_traffic_control_loop():
     shadow = graph.copy()
     queries = _workload(graph, 64, 3)
     rows = []
-    with EngineHost(max_batch_size=64, max_wait_ms=1.0) as host:
+    with EngineHost(max_batch_size=64) as host:
         host.deploy("prod", SPEC, graph.copy())
         driver = ScenarioDriver(graph, seed=SEED)
         rows.append(

@@ -105,9 +105,9 @@ async def hammer(handle, engine, graph) -> None:
             f"(last Retry-After {retry_after_ms:.0f} ms)"
         )
 
-        # 3b. A deadline shorter than the slow deployment's batch window
+        # 3b. A deadline shorter than the slow deployment's engine call
         #     comes back as a typed 504 — the ``timeout-ms`` header
-        #     propagated server-side and expired while the query queued.
+        #     propagated server-side and expired while the query computed.
         rushed = await client.request(
             "POST",
             "/v1/query",
@@ -143,13 +143,13 @@ async def hammer(handle, engine, graph) -> None:
 
 def main() -> None:
     # 1. A host with two deployments — "prod", and a "slow" twin whose
-    #    200 ms batch window exists purely to demo deadline expiry — fronted
-    #    by the gateway; unnamed requests route to "prod".
+    #    injected 100-200 ms engine latency exists purely to demo deadline
+    #    expiry — fronted by the gateway; unnamed requests route to "prod".
     graph = grid_network(8, 8, num_points=3, seed=11)
     engine = create_engine("td-h2h", graph)
-    host = EngineHost(max_batch_size=64, max_wait_ms=1.0)
+    host = EngineHost(max_batch_size=64)
     host.deploy("prod", engine)
-    host.deploy("slow", engine, max_wait_ms=200.0)
+    host.deploy("slow", "faulty:td-h2h?latency_every=1&latency_ms=200", graph)
     app = GatewayApp(
         host,
         config=GatewayConfig(

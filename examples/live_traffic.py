@@ -43,7 +43,6 @@ def main() -> None:
     graph = load_dataset("CAL", num_points=3)
     host = EngineHost(
         max_batch_size=128,
-        max_wait_ms=2.0,
         max_pending=4096,
         admission_policy="shed",
         default_deadline_ms=2_000.0,

@@ -77,9 +77,7 @@ def main() -> None:
         )
         for _ in range(400)
     ]
-    with QueryService(
-        served, max_batch_size=128, max_wait_ms=2.0, bucket_seconds=300.0
-    ) as service:
+    with QueryService(served, max_batch_size=128, bucket_seconds=300.0) as service:
         futures = [service.submit(s, t, d) for s, t, d in workload]
         service.flush()
         costs = [f.result(timeout=30) for f in futures]

@@ -20,7 +20,7 @@ Quick start::
     from repro.serving import EngineHost
     from repro.gateway import GatewayApp, GatewayConfig, serve_in_background
 
-    host = EngineHost(max_wait_ms=1.0)
+    host = EngineHost()
     host.deploy("prod", "td-h2h", graph)
     app = GatewayApp(host, config=GatewayConfig(rate_limit_qps=100.0))
     with serve_in_background(app) as handle:

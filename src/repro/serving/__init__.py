@@ -29,8 +29,7 @@ timeline.  Pass ``obs=Observability.disabled()`` to run with zero telemetry.
 Typical deployment shape::
 
     host = EngineHost(
-        max_batch_size=256,
-        max_wait_ms=2.0,
+        max_batch_size=256,                   # inline flush at this size
         max_pending=4096,                     # bounded admission queue
         default_deadline_ms=250.0,            # no caller blocks forever
         supervision=SupervisionConfig(),      # background health checks

@@ -214,11 +214,22 @@ class _Deployment:
 def _bridge_future(
     future: ServiceFuture, loop: asyncio.AbstractEventLoop
 ) -> "asyncio.Future[float]":
-    """Mirror a thread-world :class:`ServiceFuture` into an asyncio future."""
+    """Mirror a thread-world :class:`ServiceFuture` into an asyncio future.
+
+    A loop timer expires a deadlined future on time even while its batch is
+    inside the engine, as ``result()`` does on the sync path (first-wins).
+    """
     target: "asyncio.Future[float]" = loop.create_future()
+    timer: asyncio.TimerHandle | None = None
+    if future._deadline is not None:
+        timer = loop.call_later(
+            future._deadline - future._clock.monotonic(), future._expire
+        )
 
     def _transfer(settled: ServiceFuture) -> None:
         def _deliver() -> None:
+            if timer is not None:
+                timer.cancel()
             if target.cancelled():
                 return
             error = settled.exception()
@@ -257,7 +268,6 @@ class EngineHost:
         self,
         *,
         max_batch_size: int = 256,
-        max_wait_ms: float = 2.0,
         cache_size: int = 65_536,
         bucket_seconds: float = 0.0,
         max_pending: int | None = None,
@@ -272,7 +282,6 @@ class EngineHost:
         self._clock: Clock = clock if clock is not None else self._obs.clock
         self._defaults: dict[str, Any] = {
             "max_batch_size": max_batch_size,
-            "max_wait_ms": max_wait_ms,
             "cache_size": cache_size,
             "bucket_seconds": bucket_seconds,
             "max_pending": max_pending,
@@ -799,8 +808,8 @@ class EngineHost:
         Must be called from a coroutine (it binds to the running loop).  The
         enqueue itself runs inline — cheap unless this very submit fills the
         batch, in which case the flush computes on the loop thread; size
-        ``max_batch_size``/``max_wait_ms`` accordingly or keep heavy swaps
-        on :meth:`aswap`.
+        ``max_batch_size`` accordingly or keep heavy swaps on :meth:`aswap`.
+        ``deadline_ms`` is enforced even while the batch is in the engine.
         """
         loop = asyncio.get_running_loop()
         return _bridge_future(
@@ -1033,7 +1042,7 @@ class EngineHost:
         if not probe.closed:
             wedge_seconds = config.wedge_timeout_ms / 1000.0
             if not probe.flusher_alive:
-                cause = "deadline-flusher thread died"
+                cause = "flusher thread died"
             elif probe.flushing_seconds > wedge_seconds:
                 cause = (
                     f"batch wedged in the engine for "

@@ -8,10 +8,11 @@ pattern:
 
 * :meth:`submit` enqueues one scalar query and returns a lightweight
   :class:`ServiceFuture` immediately;
-* pending queries are flushed through **one** ``batch_query`` call as soon as
-  ``max_batch_size`` of them have accumulated, or when the oldest has waited
-  ``max_wait_ms`` (a background flusher enforces the deadline, so a lone
-  query is never stranded);
+* a background flusher sends everything pending through **one**
+  ``batch_query`` call as soon as it is free: a lone query leaves at once,
+  and queries that arrive while a flush runs accumulate and leave together
+  when it returns, so batches form only when there is a queue.  A submit
+  that brings the queue to ``max_batch_size`` flushes it inline;
 * a bounded LRU result cache with optional departure-time bucketing fronts
   the whole pipeline, and is dropped automatically whenever
   :func:`repro.core.update.apply_edge_updates` rewrites the index (via the
@@ -405,7 +406,7 @@ class _ServiceInstruments:
 
 
 def _flusher_main(service_ref: "weakref.ref[QueryService]") -> None:
-    """Deadline-flusher thread body; holds the service only between waits.
+    """Flusher thread body; holds the service only between waits.
 
     Each :meth:`QueryService._flusher_step` waits a bounded interval, so the
     strong reference taken here is dropped regularly and an abandoned service
@@ -481,12 +482,12 @@ class ServiceProbe:
 
     #: ``close()`` or ``abort()`` has run.
     closed: bool
-    #: The deadline-flusher daemon thread is still running.
+    #: The flusher daemon thread is still running.
     flusher_alive: bool
     #: Age (seconds) of the oldest enqueued-but-unflushed query; 0.0 if none.
     oldest_pending_seconds: float
-    #: How long the current ``batch_query`` call has been executing; 0.0 when
-    #: no flush is in progress.
+    #: How long the oldest in-progress engine flush has been executing; 0.0
+    #: when no flush is in progress.
     flushing_seconds: float
     #: Consecutive flushes in which *every* query failed (reset by any
     #: success); a proxy for a poisoned engine.
@@ -510,10 +511,9 @@ class QueryService:
     max_batch_size:
         Flush as soon as this many queries are pending.  The submitting
         thread that fills the batch performs the flush itself (no thread
-        hand-off on the hot path).
-    max_wait_ms:
-        Upper bound on how long a pending query may wait for co-travellers;
-        enforced by a daemon flusher thread.
+        hand-off on the hot path).  Below that size a daemon flusher thread
+        takes whatever is pending whenever it is free, so no query waits for
+        co-travellers while the engine is idle.
     cache_size:
         Maximum number of cached results (LRU eviction); 0 disables caching.
     bucket_seconds:
@@ -547,14 +547,14 @@ class QueryService:
         ``Observability.disabled()`` to strip every trace/metric/event —
         the baseline the obs overhead benchmark compares against.
     clock:
-        Monotonic time source for latencies, deadlines, and batch-age
+        Monotonic time source for latencies, deadlines, and aging
         bookkeeping (default: the bundle's clock).  Inject a
         :class:`~repro.utils.timing.FakeClock` for deterministic
         deadline/aging tests.
 
     Examples
     --------
-    >>> service = QueryService(index, max_batch_size=128, max_wait_ms=2.0)
+    >>> service = QueryService(index, max_batch_size=128)
     >>> futures = [service.submit(s, t, d) for s, t, d in workload]
     >>> costs = [f.result() for f in futures]
     >>> service.stats().batch_occupancy
@@ -565,7 +565,6 @@ class QueryService:
         index: Any,
         *,
         max_batch_size: int = 256,
-        max_wait_ms: float = 2.0,
         cache_size: int = 65_536,
         bucket_seconds: float = 0.0,
         max_pending: int | None = None,
@@ -578,8 +577,8 @@ class QueryService:
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be at least 1")
-        if max_wait_ms < 0 or cache_size < 0 or bucket_seconds < 0:
-            raise ValueError("max_wait_ms, cache_size and bucket_seconds must be >= 0")
+        if cache_size < 0 or bucket_seconds < 0:
+            raise ValueError("cache_size and bucket_seconds must be >= 0")
         if admission_policy not in ADMISSION_POLICIES:
             raise ValueError(
                 f"admission_policy must be one of {ADMISSION_POLICIES}, "
@@ -594,7 +593,6 @@ class QueryService:
         self._index = index
         self._batch_compute, self._scalar_compute = _resolve_compute(index)
         self.max_batch_size = int(max_batch_size)
-        self.max_wait = float(max_wait_ms) / 1000.0
         self.cache_size = int(cache_size)
         self.bucket_seconds = float(bucket_seconds)
         self.max_pending = None if max_pending is None else int(max_pending)
@@ -654,9 +652,10 @@ class QueryService:
         self._shed = 0
         self._deadline_expired = 0
         self._consecutive_batch_failures = 0
-        #: perf_counter when the current engine flush started; None when no
-        #: flush is executing.  Lets the supervisor see a wedged batch.
-        self._flushing_since: float | None = None
+        #: Start times of the engine flushes now executing, oldest first (a
+        #: size-triggered inline flush can overlap the flusher's).  Lets the
+        #: supervisor see a wedged batch.
+        self._flush_starts: list[float] = []
 
         self._invalidation_hook = _WeakInvalidationHook(self, index)
         register = getattr(index, "register_invalidation_hook", None)
@@ -772,7 +771,7 @@ class QueryService:
                     batch = self._pending
                     self._pending = []
                 elif len(self._pending) == 1:
-                    self._wakeup.notify()  # flusher arms the max-wait deadline
+                    self._wakeup.notify()  # wake an idle flusher
         except ReproError as exc:
             # No future carries this trace (shed / closed): complete it here
             # so rejected submits still show up whole in the trace ring.
@@ -887,51 +886,37 @@ class QueryService:
     _FLUSHER_WAIT_CAP = 0.1
 
     def _flusher_step(self) -> bool:
-        """One bounded iteration of the deadline flusher; True = thread exits."""
+        """One bounded iteration of the flusher; True = thread exits.
+
+        Expires overdue entries, then takes everything still pending; with
+        nothing pending it waits for the first submit's ``notify``.
+        """
         expired: list[_Pending] = []
-        batch: list[_Pending] | None = None
         with self._wakeup:
             if self._closed:
                 # close() drains after joining this thread; leaving the
                 # pending batch to it keeps the drained-count it reports
                 # exact (and the shutdown path single).
                 return True
-            now = self._clock.monotonic()
-            if self._pending:
-                # Proactively expire overdue entries so their admission slots
-                # free up even when no consumer is blocked in result().
-                keep: list[_Pending] = []
-                for entry in self._pending:
-                    if entry.deadline is not None and entry.deadline <= now:
-                        expired.append(entry)
-                    else:
-                        keep.append(entry)
-                if expired:
-                    self._pending = keep
-                    self._in_flight -= len(expired)
-                    self._answered += len(expired)
-                    self._last_answer = now
-                    self._capacity.notify_all()
-            if self._pending:
-                flush_due = self._pending[0].submitted + self.max_wait
-                if flush_due <= now:
-                    batch = self._pending
-                    self._pending = []
-                elif not expired:
-                    # Sleep until the batch is due or the next per-query
-                    # deadline needs expiring, whichever comes first.
-                    due = flush_due
-                    next_deadline = min(
-                        (p.deadline for p in self._pending if p.deadline is not None),
-                        default=None,
-                    )
-                    if next_deadline is not None:
-                        due = min(due, next_deadline)
-                    self._wakeup.wait(timeout=min(due - now, self._FLUSHER_WAIT_CAP))
-                    return False  # re-check: the batch may have been flushed
-            elif not expired:
+            if not self._pending:
                 self._wakeup.wait(timeout=self._FLUSHER_WAIT_CAP)
                 return False
+            now = self._clock.monotonic()
+            batch: list[_Pending] = []
+            for entry in self._pending:
+                if entry.deadline is not None and entry.deadline <= now:
+                    expired.append(entry)
+                else:
+                    batch.append(entry)
+            self._pending = []
+            if expired:
+                # Overdue entries leave without an engine call, so their
+                # admission slots free up even when no consumer is blocked
+                # in result().
+                self._in_flight -= len(expired)
+                self._answered += len(expired)
+                self._last_answer = now
+                self._capacity.notify_all()
         # Settle expired futures outside the lock: _expire runs callbacks.
         for entry in expired:
             entry.future._expire()
@@ -986,7 +971,8 @@ class QueryService:
                     # frame per query.
                     trace._flushed = flushed
         with self._lock:
-            self._flushing_since = self._clock.monotonic()
+            started = self._clock.monotonic()
+            self._flush_starts.append(started)
         try:
             if self._batch_compute is None:
                 costs, errors = self._per_query_costs(sources, targets, departures)
@@ -1006,7 +992,7 @@ class QueryService:
                     errors = {i: exc for i in range(len(batch))}
         finally:
             with self._lock:
-                self._flushing_since = None
+                self._flush_starts.remove(started)
 
         now = self._clock.monotonic()
         if self._tracer is not None:
@@ -1156,8 +1142,8 @@ class QueryService:
                 max(now - self._pending[0].submitted, 0.0) if self._pending else 0.0
             )
             flushing = (
-                max(now - self._flushing_since, 0.0)
-                if self._flushing_since is not None
+                max(now - self._flush_starts[0], 0.0)
+                if self._flush_starts
                 else 0.0
             )
             return ServiceProbe(
@@ -1254,6 +1240,5 @@ class QueryService:
     def __repr__(self) -> str:
         return (
             f"QueryService(max_batch_size={self.max_batch_size}, "
-            f"max_wait_ms={self.max_wait * 1000.0:g}, "
             f"cache_size={self.cache_size}, bucket_seconds={self.bucket_seconds:g})"
         )

@@ -11,6 +11,9 @@ are ``td-*`` engines; tests reaching for internals read ``engine.index``
 from __future__ import annotations
 
 import os
+import threading
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator
 
 import numpy as np
 import pytest
@@ -150,3 +153,85 @@ def random_od_pairs(small_grid) -> list[tuple[int, int, float]]:
 def assert_cost_close(expected: float, actual: float, *, rel: float = 1e-6) -> None:
     """Assert two travel costs agree within a relative tolerance."""
     assert actual == pytest.approx(expected, rel=rel, abs=1e-6)
+
+
+# ----------------------------------------------------------------------
+# Serving: pinning a service's flusher
+# ----------------------------------------------------------------------
+class HeldEngine:
+    """An engine wrapper that can pin a service's flusher inside one flush.
+
+    A :class:`~repro.serving.QueryService` dispatches whatever is pending as
+    soon as its flusher is free, so a test that needs queries to *stay*
+    pending first plugs the flusher::
+
+        with QueryService(held) as svc, held.plugged(svc.submit):
+            ...  # every submit here waits in the queue
+
+    Inside the block one plug query sits in the engine, blocked; later
+    submits queue behind it until the test flushes them (``flush()`` and
+    size-triggered inline flushes pass straight through) or leaves the
+    block, which releases the plug and waits for it to settle.  Everything
+    else is delegated to the wrapped engine untouched.
+    """
+
+    def __init__(self, inner: Any) -> None:
+        self.inner = inner
+        #: Set once the plug query is blocked inside the engine.
+        self.entered = threading.Event()
+        self._gate = threading.Event()
+        self._armed = False
+        self._plugs = 0
+        self._lock = threading.Lock()
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.inner, name)
+
+    def _hold(self) -> None:
+        with self._lock:
+            armed, self._armed = self._armed, False
+        if armed:
+            self.entered.set()
+            self._gate.wait(30.0)
+
+    def batch_query(self, *args: Any, **kwargs: Any) -> Any:
+        self._hold()
+        return self.inner.batch_query(*args, **kwargs)
+
+    def query(self, *args: Any, **kwargs: Any) -> Any:
+        self._hold()
+        return self.inner.query(*args, **kwargs)
+
+    def release(self) -> None:
+        """Let the plug query finish its engine call."""
+        self._gate.set()
+
+    @contextmanager
+    def plugged(self, submit: Callable[[int, int, float], Any]) -> Iterator[Any]:
+        """Block the flusher behind ``submit`` on a plug query for the block.
+
+        Yields the plug's future.  Each plug is a same-vertex query at a
+        fresh departure, so it never hits the result cache and never
+        collides with a test's own cache keys.
+        """
+        self.entered.clear()
+        self._gate.clear()
+        with self._lock:
+            self._armed = True
+            self._plugs += 1
+        vertex = min(self.inner.graph.vertices())
+        plug = submit(vertex, vertex, float(self._plugs))
+        settled = threading.Event()
+        plug.add_done_callback(lambda _: settled.set())
+        assert self.entered.wait(5.0), "the plug never reached the engine"
+        try:
+            yield plug
+        finally:
+            self.release()
+            settled.wait(5.0)
+
+
+@pytest.fixture()
+def held_engine() -> type[HeldEngine]:
+    """The :class:`HeldEngine` wrapper (``held_engine(engine)`` wraps one)."""
+    return HeldEngine

@@ -70,7 +70,7 @@ def test_query_service_matches_fresh_index_after_update(small_grid):
     sources, targets, departures = _workload(engine.graph, seed=78)
     queries = list(zip(sources.tolist(), targets.tolist(), departures.tolist()))
 
-    with QueryService(engine, max_batch_size=10, max_wait_ms=5.0) as service:
+    with QueryService(engine, max_batch_size=10) as service:
         for s, t, d in queries:
             service.query(s, t, d)  # populate the result cache pre-update
 
@@ -95,7 +95,7 @@ def test_repeated_updates_keep_all_layers_consistent(small_grid):
     )
     sources, targets, departures = _workload(engine.graph, count=15, seed=79)
     edges = sorted(engine.graph.edges(), key=lambda e: (e[0], e[1]))
-    with QueryService(engine, max_batch_size=6, max_wait_ms=5.0) as service:
+    with QueryService(engine, max_batch_size=6) as service:
         for round_no in range(3):
             u, v, weight = edges[round_no * 5]
             engine.update_edges({(u, v): weight.shift(60.0 * (round_no + 1))})
@@ -118,7 +118,7 @@ def test_repeated_updates_keep_all_layers_consistent(small_grid):
 # ----------------------------------------------------------------------
 def _build_service(small_grid):
     engine = create_engine("td-basic?max_points=none", small_grid.copy())
-    return engine, QueryService(engine, max_batch_size=8, max_wait_ms=5.0)
+    return engine, QueryService(engine, max_batch_size=8)
 
 
 def test_invalidation_racing_close_does_not_bill_retired_cache(
@@ -174,7 +174,7 @@ def test_host_apply_updates_serializes_against_swap(small_grid):
     lands on whatever engine is live, and answers converge to the
     fresh-rebuild oracle.
     """
-    with EngineHost(max_batch_size=16, max_wait_ms=1.0) as host:
+    with EngineHost(max_batch_size=16) as host:
         host.deploy("prod", "td-h2h", small_grid.copy())
         entry = host._deployments["prod"]
         graph = host.deployment("prod").engine.graph
@@ -205,7 +205,7 @@ def test_host_apply_updates_serializes_against_swap(small_grid):
 
 def test_host_apply_updates_lands_on_live_generation_after_swap(small_grid):
     """Updates submitted after a swap patch the new engine, not the retired one."""
-    with EngineHost(max_batch_size=16, max_wait_ms=1.0) as host:
+    with EngineHost(max_batch_size=16) as host:
         host.deploy("prod", "td-h2h", small_grid.copy())
         host.swap("prod", "td-h2h", small_grid.copy())
         graph = host.deployment("prod").engine.graph

@@ -28,7 +28,7 @@ def gateway_obs() -> Observability:
 @pytest.fixture()
 def gateway_host(small_grid, gateway_obs):
     """A host with one fast deployment over the 5x5 grid."""
-    host = EngineHost(max_batch_size=64, max_wait_ms=1.0, obs=gateway_obs)
+    host = EngineHost(max_batch_size=64, obs=gateway_obs)
     host.deploy("prod", "td-h2h", small_grid)
     yield host
     host.close()

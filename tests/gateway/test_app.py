@@ -456,10 +456,10 @@ class TestEdgeGuardrails:
         from repro.serving import EngineHost
 
         obs = Observability()
-        # A long batch window forces the lone query to sit pending well past
-        # the 1ms deadline the header requests.
-        host = EngineHost(max_batch_size=64, max_wait_ms=300.0, obs=obs)
-        host.deploy("prod", "td-h2h", small_grid)
+        # Every engine call sleeps 150-300 ms, so the query is still inside
+        # the engine when the 1 ms deadline the header requests elapses.
+        host = EngineHost(max_batch_size=64, obs=obs)
+        host.deploy("prod", "faulty:td-h2h?latency_every=1&latency_ms=300", small_grid)
         try:
             app = GatewayApp(host)
             source, target = sorted(small_grid.vertices())[:2]

@@ -126,7 +126,7 @@ class TestSurvivableKill:
     def test_worker_kill_mid_load(self, basic_index, tmp_path):
         snapshot = basic_index.index.save(tmp_path / "snap")
         pairs = _pairs(basic_index.graph, 64, seed=23)
-        host = EngineHost(max_wait_ms=1.0, cache_size=0, obs=Observability())
+        host = EngineHost(cache_size=0, obs=Observability())
         host.deploy("prod", f"snapshot:{snapshot}", replicas=1)
         app = GatewayApp(host, config=LOOSE_EDGE)
         results: list[tuple] = []
@@ -219,7 +219,7 @@ class TestUnsurvivableKill:
         source, target, departure = _pairs(basic_index.graph, 1, seed=7)[0]
         payload = {"source": source, "target": target, "departure": departure}
         expected = basic_index.query(source, target, departure).cost
-        host = EngineHost(max_wait_ms=1.0, cache_size=0, obs=Observability())
+        host = EngineHost(cache_size=0, obs=Observability())
         host.deploy("prod", f"snapshot:{snapshot}", replicas=1)
         app = GatewayApp(host, config=LOOSE_EDGE)
         try:
@@ -295,7 +295,7 @@ class TestClosedHost:
         self, basic_index, tmp_path
     ):
         snapshot = basic_index.index.save(tmp_path / "snap")
-        host = EngineHost(max_wait_ms=1.0, obs=Observability())
+        host = EngineHost(obs=Observability())
         host.deploy("prod", f"snapshot:{snapshot}")
         app = GatewayApp(host)
         source, target, departure = _pairs(basic_index.graph, 1, seed=5)[0]

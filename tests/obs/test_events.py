@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.exceptions import AdmissionRejectedError, DeadlineExceededError
@@ -25,7 +27,7 @@ from repro.utils.timing import FakeClock
 
 FAULT_FREE = "td-appro?budget_fraction=0.4&max_points=16"
 POISONED = f"faulty:{FAULT_FREE}&poison_from=1"
-MANUAL = {"max_batch_size": 64, "max_wait_ms": 60_000.0, "cache_size": 0}
+MANUAL = {"max_batch_size": 64, "cache_size": 0}
 
 
 def _config(**overrides):
@@ -100,20 +102,22 @@ class TestControlPlaneEvents:
         (undeploy,) = obs.events.events(kind=EVENT_UNDEPLOY)
         assert undeploy.subject == "prod"
 
-    def test_shed_and_deadline_events(self, approx_index):
+    def test_shed_and_deadline_events(self, approx_index, held_engine):
         obs = Observability()
+        held = held_engine(approx_index)
         with EngineHost(
-            max_batch_size=64, max_wait_ms=60_000.0, cache_size=0,
+            max_batch_size=64, cache_size=0,
             max_pending=1, admission_policy="shed", obs=obs,
         ) as host:
-            host.deploy("prod", approx_index)
-            host.submit("prod", 0, 24, 0.0)
-            with pytest.raises(AdmissionRejectedError):
-                # Bypass the host's retry loop: submit on the service itself.
-                host._service("prod").submit(1, 23, 0.0)
+            host.deploy("prod", held)
+            # The plug holds the only admission slot.
+            with held.plugged(partial(host.submit, "prod")):
+                with pytest.raises(AdmissionRejectedError):
+                    # Bypass the host's retry loop: submit on the service.
+                    host._service("prod").submit(1, 23, 0.0)
             (shed,) = obs.events.events(kind=EVENT_SHED)
             assert shed.fields["policy"] == "shed"
-            host.flush("prod")  # free the admission slot
+            # Leaving the block settled the plug, freeing the slot.
             doomed = host.submit("prod", 2, 22, 0.0, deadline_ms=0.001)
             assert isinstance(doomed.exception(5.0), DeadlineExceededError)
             (deadline,) = obs.events.events(kind=EVENT_DEADLINE)
@@ -124,8 +128,7 @@ class TestControlPlaneEvents:
         with EngineHost(**MANUAL, supervision=_config(), obs=obs) as host:
             host.deploy("prod", POISONED, small_grid)
             doomed = host.submit("prod", 0, 24, 0.0)
-            host.flush("prod")
-            assert doomed.done()
+            assert doomed.exception(5.0) is not None
         faults = obs.events.events(kind=EVENT_FAULT)
         assert len(faults) >= 1
         assert faults[0].fields["fault"] == "poison"
@@ -144,8 +147,7 @@ class TestSupervisionTransitions:
         with EngineHost(**MANUAL, supervision=_config(), obs=obs) as host:
             host.deploy("prod", crash_once, small_grid)
             doomed = host.submit("prod", 0, 24, 0.0)
-            host.flush("prod")
-            assert doomed.done()
+            assert doomed.exception(5.0) is not None
             assert host.check()["prod"].action == "restart"
             host.check(), host.check()  # two clean passes promote to HEALTHY
             assert host.health("prod").state is HealthState.HEALTHY
@@ -161,8 +163,7 @@ class TestSupervisionTransitions:
             host.deploy("prod", POISONED, small_grid)
             host.snapshot("prod", tmp_path / "snap")
             doomed = host.submit("prod", 0, 24, 0.0)
-            host.flush("prod")
-            assert doomed.done()
+            assert doomed.exception(5.0) is not None
             assert host.check()["prod"].action == "rehydrate"
         assert self._recovery_actions(obs) == ["rehydrate"]
 
@@ -174,8 +175,7 @@ class TestSupervisionTransitions:
             host.deploy("prod", POISONED, small_grid, fallback="td-dijkstra")
             for expected in ("restart", "fallback"):
                 doomed = host.submit("prod", 0, 24, 0.0)
-                host.flush("prod")
-                assert doomed.done()
+                assert doomed.exception(5.0) is not None
                 assert host.check()["prod"].action == expected
             assert host.health("prod").state is HealthState.UNHEALTHY
         assert self._recovery_actions(obs) == ["restart", "fallback"]
@@ -189,8 +189,7 @@ class TestSupervisionTransitions:
         ) as host:
             host.deploy("prod", POISONED, small_grid)
             doomed = host.submit("prod", 0, 24, 0.0)
-            host.flush("prod")
-            assert doomed.done()
+            assert doomed.exception(5.0) is not None
             assert host.check()["prod"].action == "park"
             assert host.check() == {}  # parked: later passes stay silent
         assert self._recovery_actions(obs) == ["park"]

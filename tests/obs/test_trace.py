@@ -107,8 +107,7 @@ class TestServiceTraces:
     def test_every_answered_query_yields_a_complete_span_tree(self, approx_index):
         obs = Observability()
         service = QueryService(
-            approx_index, max_batch_size=4, max_wait_ms=60_000.0,
-            cache_size=16, name="traced", obs=obs,
+            approx_index, max_batch_size=4, cache_size=16, name="traced", obs=obs
         )
         try:
             futures = [service.submit(v, 24 - v, 0.0) for v in range(4)]
@@ -133,26 +132,28 @@ class TestServiceTraces:
         assert hit.find("engine") is None
 
     def test_worker_crash_settles_orphaned_spans_with_error_status(
-        self, small_grid
+        self, small_grid, held_engine
     ):
         """Satellite: crash paths still yield complete traces."""
         obs = Observability()
-        engine = create_engine(
-            "faulty:td-appro?budget_fraction=0.4&max_points=16&crash_batch=1",
-            small_grid,
+        engine = held_engine(
+            create_engine(
+                "faulty:td-appro?budget_fraction=0.4&max_points=16&crash_batch=1",
+                small_grid,
+            )
         )
         service = QueryService(
-            engine, max_batch_size=4, max_wait_ms=60_000.0,
-            cache_size=0, name="crashy", obs=obs,
+            engine, max_batch_size=4, cache_size=0, name="crashy", obs=obs
         )
         try:
-            futures = [service.submit(v, 24 - v, 0.0) for v in range(4)]
-            service.flush()
-            for future in futures:
-                assert isinstance(future.exception(5.0), InjectedFaultError)
+            with engine.plugged(service.submit):
+                # The four fill a batch: it flushes inline, and crashes.
+                futures = [service.submit(v, 24 - v, 0.0) for v in range(4)]
+                for future in futures:
+                    assert isinstance(future.exception(5.0), InjectedFaultError)
+                traces = service.recent_traces()
         finally:
             service.close()
-        traces = service.recent_traces()
         assert len(traces) == 4
         for trace in traces:
             assert trace.complete  # the engine span was open at crash time
@@ -164,10 +165,7 @@ class TestServiceTraces:
 
     def test_disabled_observability_records_nothing(self, approx_index):
         obs = Observability.disabled()
-        service = QueryService(
-            approx_index, max_batch_size=2, max_wait_ms=60_000.0,
-            cache_size=0, obs=obs,
-        )
+        service = QueryService(approx_index, max_batch_size=2, cache_size=0, obs=obs)
         try:
             assert service.submit(0, 24, 0.0) and service.submit(1, 23, 0.0)
         finally:

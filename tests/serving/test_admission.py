@@ -134,20 +134,23 @@ class TestAdmission:
         with pytest.raises(ValueError):
             QueryService(approx_index, default_deadline_ms=0.0)
 
-    def test_shed_policy_raises_typed_error_at_capacity(self, approx_index):
+    def test_shed_policy_raises_typed_error_at_capacity(
+        self, approx_index, held_engine
+    ):
+        held = held_engine(approx_index)
         with QueryService(
-            approx_index,
+            held,
             max_batch_size=64,
-            max_wait_ms=60_000.0,
             cache_size=0,
-            max_pending=2,
+            max_pending=3,
             admission_policy="shed",
-        ) as svc:
+        ) as svc, held.plugged(svc.submit):
+            # The plug takes the first of the three slots.
             first = svc.submit(0, 24, 0.0)
             svc.submit(1, 23, 0.0)
             with pytest.raises(AdmissionRejectedError) as excinfo:
                 svc.submit(2, 22, 0.0)
-            assert excinfo.value.max_pending == 2
+            assert excinfo.value.max_pending == 3
             assert excinfo.value.policy == "shed"
             svc.flush()
             # Capacity freed by the flush: admission succeeds again.
@@ -159,16 +162,16 @@ class TestAdmission:
             assert stats.shed == 1
             assert stats.queries_answered == 3
 
-    def test_block_policy_waits_for_capacity(self, approx_index):
+    def test_block_policy_waits_for_capacity(self, approx_index, held_engine):
+        held = held_engine(approx_index)
         with QueryService(
-            approx_index,
+            held,
             max_batch_size=64,
-            max_wait_ms=60_000.0,
             cache_size=0,
-            max_pending=1,
+            max_pending=2,
             admission_policy="block",
-        ) as svc:
-            svc.submit(0, 24, 0.0)
+        ) as svc, held.plugged(svc.submit):
+            svc.submit(0, 24, 0.0)  # with the plug, capacity is full
             admitted = threading.Event()
 
             def blocked_submitter():
@@ -185,17 +188,18 @@ class TestAdmission:
             svc.flush()
             assert svc.stats().shed == 0
 
-    def test_block_policy_sheds_past_the_admission_timeout(self, approx_index):
+    def test_block_policy_sheds_past_the_admission_timeout(
+        self, approx_index, held_engine
+    ):
+        held = held_engine(approx_index)
         with QueryService(
-            approx_index,
+            held,
             max_batch_size=64,
-            max_wait_ms=60_000.0,
             cache_size=0,
             max_pending=1,
             admission_policy="block",
             admission_timeout_ms=30.0,
-        ) as svc:
-            svc.submit(0, 24, 0.0)
+        ) as svc, held.plugged(svc.submit):  # the plug holds the only slot
             started = time.perf_counter()
             with pytest.raises(AdmissionRejectedError) as excinfo:
                 svc.submit(1, 23, 0.0)
@@ -204,33 +208,31 @@ class TestAdmission:
             assert waited >= 0.025
             assert svc.stats().shed == 1
 
-    def test_cache_hits_bypass_admission(self, approx_index):
+    def test_cache_hits_bypass_admission(self, approx_index, held_engine):
+        held = held_engine(approx_index)
         with QueryService(
-            approx_index,
+            held,
             max_batch_size=64,
-            max_wait_ms=60_000.0,
             max_pending=1,
             admission_policy="shed",
         ) as svc:
             warm = svc.submit(0, 24, 0.0)
-            svc.flush()
             warm.result(5.0)
-            svc.submit(1, 23, 0.0)  # occupies the only slot
-            # A cached answer consumes no worker capacity: never shed.
-            hit = svc.submit(0, 24, 0.0)
-            assert hit.done()
-            assert hit.result() == warm.result()
+            with held.plugged(svc.submit):  # the plug occupies the only slot
+                # A cached answer consumes no worker capacity: never shed.
+                hit = svc.submit(0, 24, 0.0)
+                assert hit.done()
+                assert hit.result() == warm.result()
 
-    def test_close_wakes_blocked_admission_waiters(self, approx_index):
+    def test_close_wakes_blocked_admission_waiters(self, approx_index, held_engine):
+        held = held_engine(approx_index)
         svc = QueryService(
-            approx_index,
+            held,
             max_batch_size=64,
-            max_wait_ms=60_000.0,
             cache_size=0,
             max_pending=1,
             admission_policy="block",
         )
-        svc.submit(0, 24, 0.0)
         outcome: list[BaseException] = []
 
         def blocked_submitter():
@@ -240,11 +242,16 @@ class TestAdmission:
                 outcome.append(exc)
 
         thread = threading.Thread(target=blocked_submitter, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        svc.close()
-        thread.join(timeout=5.0)
+        # close() wakes the waiter before it waits for the pinned flusher.
+        closer = threading.Thread(target=svc.close, daemon=True)
+        with held.plugged(svc.submit):  # the plug holds the only slot
+            thread.start()
+            time.sleep(0.05)
+            closer.start()
+            thread.join(timeout=5.0)
+        closer.join(timeout=5.0)
         assert not thread.is_alive()
+        assert not closer.is_alive()
         assert len(outcome) == 1
         assert isinstance(outcome[0], ServiceClosedError)
 
@@ -259,7 +266,7 @@ class TestDeadlines:
                 svc.submit(0, 24, 0.0, deadline_ms=0.0)
 
     def test_answer_beats_a_generous_deadline(self, approx_index):
-        with QueryService(approx_index, max_batch_size=4, max_wait_ms=5.0) as svc:
+        with QueryService(approx_index, max_batch_size=4) as svc:
             future = svc.submit(0, 24, 0.0, deadline_ms=30_000.0)
             svc.flush()
             assert future.result(5.0) == approx_index.query(0, 24, 0.0).cost
@@ -268,9 +275,7 @@ class TestDeadlines:
     def test_consumer_unblocks_at_deadline_even_with_wedged_worker(
         self, approx_index
     ):
-        with QueryService(
-            approx_index, max_batch_size=64, max_wait_ms=60_000.0, cache_size=0
-        ) as svc:
+        with QueryService(approx_index, max_batch_size=64, cache_size=0) as svc:
             # Wedge the worker: the flush path sleeps far past the deadline.
             original = svc._batch_compute
 
@@ -287,17 +292,22 @@ class TestDeadlines:
             assert elapsed < 0.4  # unblocked by the deadline, not the worker
             assert excinfo.value.deadline_ms == 40.0
 
-    def test_flusher_expires_overdue_queries_without_a_consumer(self, approx_index):
+    def test_flusher_expires_overdue_queries_without_a_consumer(
+        self, approx_index, held_engine
+    ):
+        held = held_engine(approx_index)
         with QueryService(
-            approx_index,
+            held,
             max_batch_size=64,
-            max_wait_ms=60_000.0,  # the batch itself would wait forever
             cache_size=0,
-            max_pending=1,
+            max_pending=2,
             admission_policy="shed",
             default_deadline_ms=20.0,
         ) as svc:
-            abandoned = svc.submit(0, 24, 0.0)  # nobody calls result()
+            with held.plugged(svc.submit):
+                abandoned = svc.submit(0, 24, 0.0)  # nobody calls result()
+                time.sleep(0.03)  # overdue while queued behind the plug
+            # The freed flusher expires it instead of running it.
             deadline = time.perf_counter() + 5.0
             while not abandoned.done() and time.perf_counter() < deadline:
                 time.sleep(0.01)
@@ -308,23 +318,28 @@ class TestDeadlines:
             assert stats.deadline_expired == 1
             assert stats.shed == 0
 
-    def test_default_deadline_applies_when_submit_passes_none(self, approx_index):
+    def test_default_deadline_applies_when_submit_passes_none(
+        self, approx_index, held_engine
+    ):
+        held = held_engine(approx_index)
         with QueryService(
-            approx_index,
+            held,
             max_batch_size=64,
-            max_wait_ms=60_000.0,
             cache_size=0,
             default_deadline_ms=25.0,
-        ) as svc:
+        ) as svc, held.plugged(svc.submit):
             future = svc.submit(0, 24, 0.0)
             with pytest.raises(DeadlineExceededError) as excinfo:
                 future.result()
             assert excinfo.value.deadline_ms == 25.0
 
-    def test_late_batch_cannot_overwrite_an_expired_future(self, approx_index):
+    def test_late_batch_cannot_overwrite_an_expired_future(
+        self, approx_index, held_engine
+    ):
+        held = held_engine(approx_index)
         with QueryService(
-            approx_index, max_batch_size=64, max_wait_ms=60_000.0, cache_size=0
-        ) as svc:
+            held, max_batch_size=64, cache_size=0
+        ) as svc, held.plugged(svc.submit):
             future = svc.submit(0, 24, 0.0, deadline_ms=10.0)
             with pytest.raises(DeadlineExceededError):
                 future.result()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -36,9 +37,11 @@ FAULT_FREE = "td-appro?budget_fraction=0.4&max_points=16"
 CRASH_ONCE = f"faulty:{FAULT_FREE}&crash_batch=1"
 POISONED = f"faulty:{FAULT_FREE}&poison_from=1"
 
-#: Service knobs that keep batching fully manual: nothing flushes until the
-#: test says so, and nothing is served from cache.
-MANUAL = {"max_batch_size": 64, "max_wait_ms": 60_000.0, "cache_size": 0}
+#: Service knobs that keep every flush whole and nothing served from cache.
+#: Scenarios that need queries to wait in the queue plug the flusher with a
+#: ``held_engine`` (see tests/conftest.py); then nothing flushes until the
+#: test says so.
+MANUAL = {"max_batch_size": 64, "cache_size": 0}
 
 #: check() is driven manually; the background loop effectively never fires.
 MANUAL_CHECKS = 60_000.0
@@ -64,26 +67,32 @@ def _answer(host, source=0, target=24, departure=0.0):
 
 
 class TestCrashRecovery:
-    def test_hard_crash_detected_futures_typed_and_restarted(self, small_grid):
+    def test_hard_crash_detected_futures_typed_and_restarted(
+        self, small_grid, held_engine
+    ):
         engine = create_engine(CRASH_ONCE, small_grid)
+        held = held_engine(engine)
         with EngineHost(**MANUAL, supervision=_config()) as host:
-            host.deploy("prod", engine)
-            futures = [host.submit("prod", v, 24 - v, 0.0) for v in range(4)]
-            host.flush("prod")  # batch 1 crashes inside batch_query
+            host.deploy("prod", held)
+            with held.plugged(partial(host.submit, "prod")):
+                futures = [host.submit("prod", v, 24 - v, 0.0) for v in range(4)]
+                host.flush("prod")  # batch 1 crashes inside batch_query
 
-            # Guarantee 1+2: everything settles, with the injected error.
-            for future in futures:
-                assert future.done()
-                assert isinstance(future.exception(5.0), InjectedFaultError)
+                # Guarantee 1+2: everything settles, with the injected error.
+                for future in futures:
+                    assert future.done()
+                    assert isinstance(future.exception(5.0), InjectedFaultError)
 
-            # Guarantee 3: one check() pass detects and restarts.
-            report = host.check()["prod"]
-            assert report.action == "restart"
-            assert "whole-batch failures" in report.cause
-            assert host.health("prod").state is HealthState.DEGRADED
+                # Guarantee 3: one check() pass detects and restarts (while
+                # the plug is held, so its clean batch cannot reset the
+                # failure streak first).
+                report = host.check()["prod"]
+                assert report.action == "restart"
+                assert "whole-batch failures" in report.cause
+                assert host.health("prod").state is HealthState.DEGRADED
 
-            # Guarantee 4: recovered answers match the engine's scalar path.
-            assert _answer(host) == engine.query(0, 24, 0.0).cost
+                # Guarantee 4: recovered answers match the engine's scalar path.
+                assert _answer(host) == engine.query(0, 24, 0.0).cost
 
             # Two clean checks promote DEGRADED back to HEALTHY.
             assert host.check() == {}
@@ -92,25 +101,57 @@ class TestCrashRecovery:
             assert host.health("prod").state is HealthState.HEALTHY
             assert host.stats("prod").worker_restarts == 1
 
-    def test_recovery_abort_fails_pending_futures_typed(self, small_grid):
-        # The wedge signal: pending queries age past the timeout because the
-        # flusher never gets a batch out (max_wait is effectively infinite).
-        # Aging rides the injectable monotonic clock, so a FakeClock advance
-        # makes the queries "old" instantly — no wall-clock sleep needed.
+    def test_recovery_abort_fails_pending_futures_typed(
+        self, small_grid, held_engine
+    ):
+        # The wedge signal: the flusher's batch is stuck in the engine, and
+        # the queries behind it age past the timeout.  Aging rides the
+        # injectable monotonic clock, so a FakeClock advance makes them
+        # "old" instantly — no wall-clock sleep needed.
         clock = FakeClock()
         config = _config(wedge_timeout_ms=40.0)
+        held = held_engine(create_engine(FAULT_FREE, small_grid))
         with EngineHost(**MANUAL, supervision=config, clock=clock) as host:
-            host.deploy("prod", FAULT_FREE, small_grid)
-            stranded = [host.submit("prod", v, 24 - v, 0.0) for v in range(3)]
-            clock.advance(0.08)
+            host.deploy("prod", held)
+            with held.plugged(partial(host.submit, "prod")):
+                stranded = [host.submit("prod", v, 24 - v, 0.0) for v in range(3)]
+                clock.advance(0.08)
 
-            report = host.check()["prod"]
-            assert report.action == "restart"
-            assert "pending query aged" in report.cause
-            assert report.failed_futures == 3
-            for future in stranded:
-                assert isinstance(future.exception(5.0), WorkerCrashedError)
-            # The restarted worker serves immediately.
+                report = host.check()["prod"]
+                assert report.action == "restart"
+                assert "batch wedged" in report.cause
+                assert report.failed_futures == 3
+                for future in stranded:
+                    assert isinstance(future.exception(5.0), WorkerCrashedError)
+                # The restarted worker serves immediately.
+                assert _answer(host) > 0.0
+
+    def test_queries_aging_behind_a_stuck_flusher_are_detected(
+        self, small_grid, held_engine
+    ):
+        # The flusher is stuck outside the engine (in a settle callback), so
+        # no batch is wedged; only the age of the queue shows the stall.
+        clock = FakeClock()
+        config = _config(wedge_timeout_ms=40.0)
+        held = held_engine(create_engine(FAULT_FREE, small_grid))
+        stuck = threading.Event()
+        unstick = threading.Event()
+        with EngineHost(**MANUAL, supervision=config, clock=clock) as host:
+            host.deploy("prod", held)
+            with held.plugged(partial(host.submit, "prod")) as plug:
+                plug.add_done_callback(lambda _: (stuck.set(), unstick.wait(10.0)))
+                held.release()
+                assert stuck.wait(5.0)
+                stranded = [host.submit("prod", v, 24 - v, 0.0) for v in range(3)]
+                clock.advance(0.08)
+
+                report = host.check()["prod"]
+                assert report.action == "restart"
+                assert "pending query aged" in report.cause
+                assert report.failed_futures == 3
+                for future in stranded:
+                    assert isinstance(future.exception(5.0), WorkerCrashedError)
+                unstick.set()
             assert _answer(host) > 0.0
 
     @pytest.mark.filterwarnings(
@@ -141,16 +182,11 @@ class TestCrashRecovery:
         with EngineHost(**MANUAL, supervision=config) as host:
             host.deploy("prod", spec, small_grid)
             future = host.submit("prod", 0, 24, 0.0)
-            flusher = threading.Thread(
-                target=lambda: host.flush("prod"), daemon=True
-            )
-            flusher.start()
-            time.sleep(0.15)  # the batch is asleep inside the engine
+            time.sleep(0.15)  # the flusher's batch is asleep inside the engine
 
             report = host.check()["prod"]
             assert report.action == "restart"
             assert "wedged" in report.cause
-            flusher.join(timeout=5.0)
             # The wedged batch still settles its future once it wakes up —
             # no future is ever stranded by the restart.
             assert future.result(5.0) > 0.0
@@ -189,8 +225,7 @@ class TestEscalation:
 
             for expected_action in ("restart", "fallback"):
                 doomed = host.submit("prod", 0, 24, 0.0)
-                host.flush("prod")
-                assert doomed.done()
+                assert isinstance(doomed.exception(5.0), InjectedFaultError)
                 assert host.check()["prod"].action == expected_action
 
             health = host.health("prod")
@@ -210,20 +245,23 @@ class TestEscalation:
             assert host.health("prod").state is HealthState.HEALTHY
             assert _answer(host) > 0.0
 
-    def test_park_fails_fast_when_no_recovery_path_remains(self, small_grid):
+    def test_park_fails_fast_when_no_recovery_path_remains(
+        self, small_grid, held_engine
+    ):
         config = _config(max_restarts=0)
+        held = held_engine(create_engine(POISONED, small_grid))
         with EngineHost(**MANUAL, supervision=config) as host:
-            host.deploy("prod", POISONED, small_grid)
+            host.deploy("prod", held)
             doomed = host.submit("prod", 0, 24, 0.0)
-            host.flush("prod")
-            assert doomed.done()
-            stranded = [host.submit("prod", v, 23 - v, 0.0) for v in range(2)]
+            assert isinstance(doomed.exception(5.0), InjectedFaultError)
+            with held.plugged(partial(host.submit, "prod")):
+                stranded = [host.submit("prod", v, 23 - v, 0.0) for v in range(2)]
 
-            report = host.check()["prod"]
-            assert report.action == "park"
-            assert report.failed_futures == 2
-            for future in stranded:
-                assert isinstance(future.exception(5.0), WorkerCrashedError)
+                report = host.check()["prod"]
+                assert report.action == "park"
+                assert report.failed_futures == 2
+                for future in stranded:
+                    assert isinstance(future.exception(5.0), WorkerCrashedError)
 
             # Parked: submits fail fast with the recorded cause, and further
             # checks leave the deployment alone until a swap.
@@ -240,7 +278,6 @@ class TestBackgroundSupervisor:
         with EngineHost(**MANUAL, supervision=config) as host:
             host.deploy("prod", CRASH_ONCE, small_grid)
             doomed = host.submit("prod", 0, 24, 0.0)
-            host.flush("prod")
             assert isinstance(doomed.exception(5.0), InjectedFaultError)
 
             # No manual check(): the supervisor thread must notice the
@@ -264,29 +301,36 @@ class TestBackgroundSupervisor:
 class TestConcurrentClose:
     """Satellite: close() is idempotent and safe under concurrent callers."""
 
-    def test_racing_service_closes_drain_exactly_once(self, approx_index):
+    def test_racing_service_closes_drain_exactly_once(
+        self, approx_index, held_engine
+    ):
+        held = held_engine(approx_index)
         for _ in range(5):
-            svc = QueryService(
-                approx_index, max_batch_size=64, max_wait_ms=60_000.0, cache_size=0
-            )
-            futures = [svc.submit(v, 24 - v, 0.0) for v in range(4)]
+            svc = QueryService(held, **MANUAL)
             barrier = threading.Barrier(8)
             errors: list[BaseException] = []
+            drained: list[int] = []
 
             def racer(service: QueryService = svc) -> None:
                 try:
                     barrier.wait()
-                    service.close()
+                    drained.append(service.close())
                 except BaseException as exc:  # noqa: BLE001
                     errors.append(exc)
 
             threads = [threading.Thread(target=racer) for _ in range(8)]
-            for t in threads:
-                t.start()
+            with held.plugged(svc.submit):
+                # Queued behind the plug, so only a close() drain answers them.
+                futures = [svc.submit(v, 24 - v, 0.0) for v in range(4)]
+                for t in threads:
+                    t.start()
+                while not svc.probe().closed:
+                    time.sleep(0.001)
             for t in threads:
                 t.join(timeout=10.0)
             assert not any(t.is_alive() for t in threads)
             assert errors == []
+            assert sorted(drained) == [0] * 7 + [4]
             # The single drain settled everything with real answers.
             for future in futures:
                 assert future.done()

@@ -186,7 +186,7 @@ class TestRegistrySpec:
             small_grid,
         )
         baseline = engine.inner.query(0, 24, 0.0).cost
-        with QueryService(engine, max_batch_size=8, max_wait_ms=5.0) as svc:
+        with QueryService(engine, max_batch_size=8) as svc:
             futures = [svc.submit(v, 24 - v, 0.0) for v in range(8)]
             svc.flush()
             # The transient fault degraded the batch to per-query evaluation:

@@ -19,6 +19,7 @@ import pytest
 
 from repro import PiecewiseLinearFunction, create_engine
 from repro.exceptions import (
+    DeadlineExceededError,
     DuplicateDeploymentError,
     EngineSpecError,
     HostError,
@@ -56,7 +57,7 @@ def _slowed_copy(graph, factor=3.0):
 
 @pytest.fixture()
 def host():
-    with EngineHost(max_batch_size=16, max_wait_ms=2.0) as h:
+    with EngineHost(max_batch_size=16) as h:
         yield h
 
 
@@ -191,7 +192,7 @@ def test_swap_unknown_deployment(host, small_grid):
 
 def test_swap_invalidates_cached_answers(small_grid):
     """A result cached against the old engine must not survive the swap."""
-    with EngineHost(max_batch_size=4, max_wait_ms=1.0, cache_size=1024) as host:
+    with EngineHost(max_batch_size=4, cache_size=1024) as host:
         host.deploy("prod", "td-basic", small_grid)
         s, t, d = _workload(small_grid, count=1, seed=9)[0]
         before = host.query("prod", s, t, d)
@@ -260,7 +261,7 @@ def test_swap_under_load_zero_downtime(small_grid):
     new_costs = {q: replacement.query(*q).cost for q in workload}
     assert any(old_costs[q] != new_costs[q] for q in workload)  # discriminating
 
-    host = EngineHost(max_batch_size=8, max_wait_ms=1.0, cache_size=0)
+    host = EngineHost(max_batch_size=8, cache_size=0)
     host.deploy("prod", old_engine)
     stop = threading.Event()
     errors: list[BaseException] = []
@@ -406,6 +407,21 @@ def test_async_error_propagates(host, small_grid):
 
     with pytest.raises(VertexNotFoundError):
         asyncio.run(main())
+
+
+def test_aquery_deadline_expires_while_the_batch_is_in_the_engine(host, small_grid):
+    # Every engine call sleeps 0.5-1 s; the awaiter must not wait it out.
+    host.deploy("prod", "faulty:td-h2h?latency_every=1&latency_ms=1000", small_grid)
+
+    async def main() -> float:
+        return await host.aquery("prod", 0, 24, 0.0, deadline_ms=50.0)
+
+    started = time.perf_counter()
+    with pytest.raises(DeadlineExceededError) as excinfo:
+        asyncio.run(main())
+    assert time.perf_counter() - started < 0.45
+    assert excinfo.value.deadline_ms == 50.0
+    assert host.stats("prod").deadline_expired == 1
 
 
 def test_aswap_runs_off_loop(host, small_grid):

@@ -122,7 +122,7 @@ class TestAnswers:
         """The pool is a drop-in engine for the micro-batching service."""
         sources, targets, departures = _workload(basic_index.graph, count=16, seed=23)
         expected = basic_index.batch_query(sources, targets, departures).costs
-        with QueryService(pool, max_wait_ms=1.0, cache_size=0) as service:
+        with QueryService(pool, cache_size=0) as service:
             futures = [
                 service.submit(int(s), int(t), float(d))
                 for s, t, d in zip(sources, targets, departures)
@@ -308,7 +308,7 @@ class TestLiveness:
 class TestHostIntegration:
     @pytest.fixture(scope="class")
     def replica_host(self, snapshot_dir):
-        host = EngineHost(max_wait_ms=1.0, cache_size=0)
+        host = EngineHost(cache_size=0)
         host.deploy("prod", f"snapshot:{snapshot_dir}", replicas=2)
         yield host
         host.close()
@@ -354,7 +354,7 @@ class TestHostIntegration:
             replica_host.replica_stats("missing")
 
     def test_single_process_deployment_has_no_replicas(self, snapshot_dir):
-        with EngineHost(max_wait_ms=1.0) as host:
+        with EngineHost() as host:
             info = host.deploy("solo", f"snapshot:{snapshot_dir}")
             assert info.replicas == 0
             assert host.replicas("solo") == []

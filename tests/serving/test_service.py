@@ -18,6 +18,7 @@ from repro import TDGraph, create_engine
 from repro.exceptions import DisconnectedQueryError
 from repro.functions import PiecewiseLinearFunction
 from repro.serving import QueryService
+from repro.utils.timing import FakeClock
 
 
 def _workload(graph, count=30, seed=42):
@@ -35,7 +36,7 @@ def _workload(graph, count=30, seed=42):
 
 @pytest.fixture()
 def service(approx_index):
-    with QueryService(approx_index, max_batch_size=8, max_wait_ms=5.0) as svc:
+    with QueryService(approx_index, max_batch_size=8) as svc:
         yield svc
 
 
@@ -51,26 +52,67 @@ def test_results_match_scalar_queries(approx_index, service):
     assert got == expected
 
 
-def test_full_batch_flushes_without_waiting(approx_index):
-    with QueryService(approx_index, max_batch_size=4, max_wait_ms=60_000.0) as svc:
+def test_full_batch_flushes_without_waiting(approx_index, held_engine):
+    held = held_engine(approx_index)
+    with QueryService(held, max_batch_size=4) as svc, held.plugged(svc.submit):
         workload = _workload(approx_index.graph, count=4, seed=1)
         futures = [svc.submit(s, t, d) for s, t, d in workload]
-        # max_wait is a minute: only the size trigger can have flushed these.
+        # The flusher is pinned: only the size trigger can have flushed these.
         got = [f.result(timeout=10) for f in futures]
         assert got == [approx_index.query(s, t, d).cost for s, t, d in workload]
         assert svc.stats().num_batches == 1
 
 
-def test_max_wait_flushes_a_lone_query(approx_index):
-    with QueryService(approx_index, max_batch_size=1024, max_wait_ms=10.0) as svc:
+def test_idle_flusher_settles_a_lone_query_without_the_clock_advancing(
+    approx_index,
+):
+    """Flush on idle needs no timer: a frozen clock must not strand a query."""
+    with QueryService(approx_index, max_batch_size=1024, clock=FakeClock()) as svc:
         (s, t, d) = _workload(approx_index.graph, count=1, seed=2)[0]
         future = svc.submit(s, t, d)
-        # No explicit flush: the background deadline must deliver the answer.
-        assert future.result(timeout=10) == approx_index.query(s, t, d).cost
+        # Poll on real time: result(timeout) would wait on the frozen clock.
+        deadline = time.perf_counter() + 10.0
+        while not future.done() and time.perf_counter() < deadline:
+            time.sleep(0.001)
+        assert future.done()
+        assert future.result() == approx_index.query(s, t, d).cost
+        assert svc.stats().num_batches == 1
+
+
+def test_queries_arriving_during_a_flush_leave_together(approx_index, held_engine):
+    held = held_engine(approx_index)
+    workload = _workload(approx_index.graph, count=3, seed=4)
+    with QueryService(held, max_batch_size=1024) as svc:
+        with held.plugged(svc.submit):
+            futures = [svc.submit(s, t, d) for s, t, d in workload]
+            assert svc.probe().pending == 3
+        # Releasing the plug frees the flusher, which takes all three at once.
+        got = [f.result(timeout=10) for f in futures]
+        assert got == [approx_index.query(s, t, d).cost for s, t, d in workload]
+        stats = svc.stats()
+        assert stats.num_batches == 2
+        assert stats.avg_batch_size == 2.0
+
+
+def test_probe_reports_the_oldest_of_overlapping_flushes(approx_index, held_engine):
+    """An inline flush finishing must not hide the flusher's wedged batch."""
+    clock = FakeClock()
+    held = held_engine(approx_index)
+    workload = _workload(approx_index.graph, count=2, seed=5)
+    with QueryService(held, max_batch_size=2, clock=clock) as svc:
+        with held.plugged(svc.submit):
+            clock.advance(1.0)
+            # Two submits fill a batch: it flushes inline on this thread and
+            # completes while the plug is still blocked in the engine.
+            futures = [svc.submit(s, t, d) for s, t, d in workload]
+            assert all(f.done() for f in futures)
+            clock.advance(0.5)
+            assert svc.probe().flushing_seconds == 1.5
+        assert svc.probe().flushing_seconds == 0.0
 
 
 def test_blocking_query_wrapper(approx_index):
-    with QueryService(approx_index, max_batch_size=64, max_wait_ms=1.0) as svc:
+    with QueryService(approx_index, max_batch_size=64) as svc:
         s, t, d = _workload(approx_index.graph, count=1, seed=3)[0]
         assert svc.query(s, t, d) == approx_index.query(s, t, d).cost
 
@@ -96,7 +138,7 @@ def test_exact_cache_hit(approx_index, service):
 
 def test_departure_bucketing_trades_exactness_for_hits(approx_index):
     with QueryService(
-        approx_index, max_batch_size=4, max_wait_ms=5.0, bucket_seconds=3_600.0
+        approx_index, max_batch_size=4, bucket_seconds=3_600.0
     ) as svc:
         s, t, _ = _workload(approx_index.graph, count=1, seed=6)[0]
         first = svc.query(s, t, 7_200.0)
@@ -110,7 +152,7 @@ def test_departure_bucketing_trades_exactness_for_hits(approx_index):
 
 def test_cache_is_lru_bounded(approx_index):
     with QueryService(
-        approx_index, max_batch_size=1, max_wait_ms=5.0, cache_size=2
+        approx_index, max_batch_size=1, cache_size=2
     ) as svc:
         workload = _workload(approx_index.graph, count=4, seed=7)
         for s, t, d in workload:
@@ -120,7 +162,7 @@ def test_cache_is_lru_bounded(approx_index):
 
 def test_cache_disabled(approx_index):
     with QueryService(
-        approx_index, max_batch_size=1, max_wait_ms=5.0, cache_size=0
+        approx_index, max_batch_size=1, cache_size=0
     ) as svc:
         s, t, d = _workload(approx_index.graph, count=1, seed=8)[0]
         svc.query(s, t, d)
@@ -136,7 +178,7 @@ def test_cache_disabled(approx_index):
 # ----------------------------------------------------------------------
 def test_edge_update_invalidates_cache_and_results(small_grid):
     engine = create_engine("td-appro?budget_fraction=0.4&max_points=16", small_grid.copy())
-    with QueryService(engine, max_batch_size=8, max_wait_ms=5.0) as svc:
+    with QueryService(engine, max_batch_size=8) as svc:
         workload = _workload(engine.graph, count=12, seed=9)
         for s, t, d in workload:
             svc.query(s, t, d)
@@ -155,7 +197,7 @@ def test_edge_update_invalidates_cache_and_results(small_grid):
 
 def test_close_unregisters_invalidation_hook(approx_index):
     before = len(approx_index.index._invalidation_hooks)
-    svc = QueryService(approx_index, max_batch_size=4, max_wait_ms=1.0)
+    svc = QueryService(approx_index, max_batch_size=4)
     assert len(approx_index.index._invalidation_hooks) == before + 1
     svc.close()
     assert len(approx_index.index._invalidation_hooks) == before
@@ -168,7 +210,7 @@ def test_dropped_service_is_garbage_collected(approx_index):
     import weakref
 
     before = len(approx_index.index._invalidation_hooks)
-    svc = QueryService(approx_index, max_batch_size=4, max_wait_ms=1.0)
+    svc = QueryService(approx_index, max_batch_size=4)
     ref = weakref.ref(svc)
     del svc
     deadline = time.time() + 3.0
@@ -188,7 +230,7 @@ def test_disconnected_query_fails_only_its_future():
     graph.add_bidirectional_edge(0, 1, PiecewiseLinearFunction.constant(10.0))
     graph.add_bidirectional_edge(2, 3, PiecewiseLinearFunction.constant(10.0))
     engine = create_engine("td-basic?validate=false", graph)
-    with QueryService(engine, max_batch_size=16, max_wait_ms=5.0) as svc:
+    with QueryService(engine, max_batch_size=16) as svc:
         good = svc.submit(0, 1, 0.0)
         bad = svc.submit(0, 3, 0.0)
         also_good = svc.submit(2, 3, 0.0)
@@ -205,7 +247,7 @@ def test_disconnected_query_fails_only_its_future():
 def test_submit_after_close_raises(approx_index):
     from repro.exceptions import ReproError, ServiceClosedError
 
-    svc = QueryService(approx_index, max_batch_size=4, max_wait_ms=1.0)
+    svc = QueryService(approx_index, max_batch_size=4)
     svc.close()
     with pytest.raises(ServiceClosedError):
         svc.submit(0, 1, 0.0)
@@ -218,17 +260,27 @@ def test_submit_after_close_raises(approx_index):
     svc.close()  # idempotent
 
 
-def test_close_reports_drained_queries(approx_index):
-    svc = QueryService(approx_index, max_batch_size=1024, max_wait_ms=60_000.0)
+def test_close_reports_drained_queries(approx_index, held_engine):
+    held = held_engine(approx_index)
+    svc = QueryService(held, max_batch_size=1024)
     s, t, d = _workload(approx_index.graph, count=1, seed=21)[0]
-    future = svc.submit(s, t, d)
-    assert svc.close() == 1
+    drained: list[int] = []
+    closer = threading.Thread(target=lambda: drained.append(svc.close()))
+    with held.plugged(svc.submit):
+        future = svc.submit(s, t, d)
+        # close() marks the service closed, then waits for the pinned
+        # flusher; the query is still pending, so the final drain answers it.
+        closer.start()
+        while not svc.probe().closed:
+            time.sleep(0.001)
+    closer.join(timeout=10)
+    assert drained == [1]
     assert future.result(timeout=1) == approx_index.query(s, t, d).cost
     assert svc.close() == 0
 
 
 def test_close_flushes_pending(approx_index):
-    svc = QueryService(approx_index, max_batch_size=1024, max_wait_ms=60_000.0)
+    svc = QueryService(approx_index, max_batch_size=1024)
     s, t, d = _workload(approx_index.graph, count=1, seed=10)[0]
     future = svc.submit(s, t, d)
     svc.close()
@@ -236,7 +288,7 @@ def test_close_flushes_pending(approx_index):
 
 
 def test_stats_shape(approx_index):
-    with QueryService(approx_index, max_batch_size=5, max_wait_ms=5.0) as svc:
+    with QueryService(approx_index, max_batch_size=5) as svc:
         workload = _workload(approx_index.graph, count=10, seed=11)
         futures = [svc.submit(s, t, d) for s, t, d in workload]
         svc.flush()
@@ -256,8 +308,6 @@ def test_invalid_parameters_rejected(approx_index):
     with pytest.raises(ValueError):
         QueryService(approx_index, max_batch_size=0)
     with pytest.raises(ValueError):
-        QueryService(approx_index, max_wait_ms=-1.0)
-    with pytest.raises(ValueError):
         QueryService(approx_index, bucket_seconds=-0.5)
 
 
@@ -266,7 +316,7 @@ def test_concurrent_submitters_get_consistent_answers(approx_index):
     expected = {
         (s, t, d): approx_index.query(s, t, d).cost for s, t, d in workload
     }
-    with QueryService(approx_index, max_batch_size=16, max_wait_ms=2.0) as svc:
+    with QueryService(approx_index, max_batch_size=16) as svc:
         results: dict[int, list[float]] = {}
 
         def run(worker: int) -> None:
@@ -282,7 +332,7 @@ def test_concurrent_submitters_get_consistent_answers(approx_index):
 
 
 def test_engine_crash_settles_futures_and_keeps_service_alive(
-    approx_index, monkeypatch
+    approx_index, monkeypatch, held_engine
 ):
     """A non-ReproError from the engine must fail the batch's futures, not the
     flusher thread — later traffic must still be answered."""
@@ -297,12 +347,15 @@ def test_engine_crash_settles_futures_and_keeps_service_alive(
 
     monkeypatch.setattr(approx_index, "batch_query", flaky)
     workload = _workload(approx_index.graph, count=4, seed=21)
-    with QueryService(approx_index, max_batch_size=2, max_wait_ms=5.0) as svc:
-        first, second = (svc.submit(s, t, d) for s, t, d in workload[:2])
-        with pytest.raises(ValueError, match="engine bug"):
-            first.result(timeout=10)
-        with pytest.raises(ValueError, match="engine bug"):
-            second.result(timeout=10)
+    held = held_engine(approx_index)
+    with QueryService(held, max_batch_size=2) as svc:
+        with held.plugged(svc.submit):
+            # The pair fills a batch, which flushes inline and crashes.
+            first, second = (svc.submit(s, t, d) for s, t, d in workload[:2])
+            with pytest.raises(ValueError, match="engine bug"):
+                first.result(timeout=10)
+            with pytest.raises(ValueError, match="engine bug"):
+                second.result(timeout=10)
         # The service survives and answers subsequent traffic correctly.
         s, t, d = workload[2]
         assert svc.query(s, t, d) == approx_index.query(s, t, d).cost
@@ -322,7 +375,7 @@ def test_invalidation_during_flight_skips_cache_population(
         return result
 
     monkeypatch.setattr(approx_index, "batch_query", racing)
-    with QueryService(approx_index, max_batch_size=8, max_wait_ms=60_000.0) as svc:
+    with QueryService(approx_index, max_batch_size=8) as svc:
         holder["svc"] = svc
         s, t, d = _workload(approx_index.graph, count=1, seed=22)[0]
         future = svc.submit(s, t, d)

@@ -48,7 +48,7 @@ def _workload(graph, count=24, seed=42):
 def test_service_costs_bit_identical_to_scalar_loop(graph, spec):
     engine = create_engine(spec, graph)
     workload = _workload(graph)
-    with QueryService(engine, max_batch_size=8, max_wait_ms=5.0) as service:
+    with QueryService(engine, max_batch_size=8) as service:
         futures = [service.submit(s, t, d) for s, t, d in workload]
         service.flush()
         got = [f.result(timeout=30) for f in futures]
@@ -60,7 +60,7 @@ def test_loop_flush_isolates_bad_queries(graph):
     """One disconnected query must not poison the rest of a loop-flush batch."""
     engine = create_engine("td-dijkstra", graph)
     missing_vertex = 10_000
-    with QueryService(engine, max_batch_size=16, max_wait_ms=5.0) as service:
+    with QueryService(engine, max_batch_size=16) as service:
         good = service.submit(0, 24, 0.0)
         bad = service.submit(0, missing_vertex, 0.0)
         also_good = service.submit(3, 20, 30_000.0)
@@ -75,7 +75,7 @@ def test_engine_updates_invalidate_service_cache(graph):
     """Invalidation hooks work through the engine adapter, not just the index."""
     private_graph = grid_network(4, 4, num_points=3, seed=13)
     engine = create_engine("td-appro?budget_fraction=0.4", private_graph)
-    with QueryService(engine, max_batch_size=4, max_wait_ms=5.0) as service:
+    with QueryService(engine, max_batch_size=4) as service:
         before = service.query(0, 15, 0.0)
         assert service.stats().cache_entries > 0
         u, v, weight = next(iter(private_graph.edges()))
@@ -95,14 +95,15 @@ def test_engine_updates_invalidate_service_cache(graph):
         assert before == pytest.approx(before)  # sanity: original answer intact
 
 
-def test_service_stats_track_loop_flush_batches(graph):
-    engine = create_engine("td-dijkstra", graph)
-    with QueryService(engine, max_batch_size=4, max_wait_ms=60_000.0) as service:
-        workload = _workload(graph, count=8, seed=1)
-        futures = [service.submit(s, t, d) for s, t, d in workload]
-        for future in futures:
-            future.result(timeout=30)
-        stats = service.stats()
+def test_service_stats_track_loop_flush_batches(graph, held_engine):
+    engine = held_engine(create_engine("td-dijkstra", graph))
+    with QueryService(engine, max_batch_size=4) as service:
+        with engine.plugged(service.submit):
+            workload = _workload(graph, count=8, seed=1)
+            futures = [service.submit(s, t, d) for s, t, d in workload]
+            for future in futures:
+                future.result(timeout=30)
+            stats = service.stats()
     assert stats.queries_answered == 8
     assert stats.num_batches == 2  # two full size-triggered flushes
     assert stats.avg_batch_size == 4.0
@@ -116,7 +117,7 @@ def test_disconnected_error_type_preserved_in_loop_flush():
     graph.add_edge(0, 1, PiecewiseLinearFunction.constant(10.0))
     graph.add_edge(2, 1, PiecewiseLinearFunction.constant(10.0))
     engine = create_engine("td-dijkstra", graph)
-    with QueryService(engine, max_batch_size=2, max_wait_ms=5.0) as service:
+    with QueryService(engine, max_batch_size=2) as service:
         future = service.submit(0, 2, 0.0)
         service.flush()
         with pytest.raises(DisconnectedQueryError):

@@ -44,7 +44,7 @@ def _workload(graph, count=20, seed=91):
 
 @pytest.fixture()
 def host(small_grid):
-    with EngineHost(max_batch_size=32, max_wait_ms=1.0) as h:
+    with EngineHost(max_batch_size=32) as h:
         h.deploy("prod", "td-h2h", small_grid.copy())
         yield h
 
@@ -172,7 +172,7 @@ class TestActions:
         """
         spec = "td-h2h?max_points=none"
         shadow = small_grid.copy()
-        with EngineHost(max_batch_size=32, max_wait_ms=1.0) as host:
+        with EngineHost(max_batch_size=32) as host:
             host.deploy("prod", spec, small_grid.copy())
             base = shadow.weight(0, 1)
             with TrafficController(
@@ -200,7 +200,7 @@ class TestActions:
                 )
 
     def test_patch_downgrades_when_engine_cannot_update(self, small_grid):
-        with EngineHost(max_batch_size=32, max_wait_ms=1.0) as host:
+        with EngineHost(max_batch_size=32) as host:
             host.deploy("ref", "td-dijkstra", small_grid.copy())
             with TrafficController(
                 host, "ref", policy=FixedPolicy(ACTION_PATCH)
@@ -231,7 +231,7 @@ class TestStaleness:
 
     def test_staleness_metrics_published(self, small_grid):
         obs = Observability()
-        with EngineHost(max_batch_size=32, max_wait_ms=1.0, obs=obs) as host:
+        with EngineHost(max_batch_size=32, obs=obs) as host:
             host.deploy("prod", "td-h2h", small_grid.copy())
             with TrafficController(
                 host, "prod", policy=FixedPolicy(ACTION_PATCH)
