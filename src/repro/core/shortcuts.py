@@ -20,6 +20,7 @@ operations instead of one profile search per node.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,7 +216,9 @@ def build_shortcut_catalog(
         can be asserted in tests and the scalar path kept as a reference.
     """
     if use_batch_kernels:
-        pairs = _build_pairs_batched(tree, max_points=max_points, tolerance=tolerance)
+        pairs = _build_pairs_batched(
+            tree, tree.nodes, max_points=max_points, tolerance=tolerance
+        )
     else:
         pairs = _build_pairs_scalar(tree, max_points=max_points, tolerance=tolerance)
     catalog = ShortcutCatalog(pairs)
@@ -272,9 +275,13 @@ def _build_pairs_scalar(
 
 
 def _build_pairs_batched(
-    tree: TFPTreeDecomposition, *, max_points: int | None, tolerance: float
+    tree: TFPTreeDecomposition,
+    vertices: Iterable[int],
+    *,
+    max_points: int | None,
+    tolerance: float,
 ) -> dict[tuple[int, int], ShortcutPair]:
-    """Level-batched construction: one kernel pass per tree level.
+    """Level-batched construction of every pair ``<v, *>`` for ``v`` in ``vertices``.
 
     Nodes at the same height are never ancestors of each other, so all their
     candidate ``Compound`` calls are independent once the shortcuts of the
@@ -283,12 +290,19 @@ def _build_pairs_batched(
     (preserving the scalar ``minimum_of`` association order) and one
     :func:`simplify_many` pass — amortising the per-function Python dispatch
     that dominates the scalar construction.
+
+    ``vertices`` must be closed under ancestors: a node's pairs combine the
+    pairs of its bag vertices, which are looked up only among the pairs this
+    same pass builds.  The full catalog passes every tree node; incremental
+    repair passes the root paths of the nodes it refreshes.  The kernels work
+    row by row, so a node's pairs are the same whichever other nodes share
+    its level.
     """
     pairs: dict[tuple[int, int], ShortcutPair] = {}
     known_function = _known_function_lookup(pairs)
 
     levels: dict[int, list[int]] = {}
-    for vertex in tree.nodes:
+    for vertex in vertices:
         levels.setdefault(tree.nodes[vertex].height, []).append(vertex)
 
     for height in sorted(levels):

@@ -15,8 +15,12 @@ structural facts of the TFP decomposition:
    and every dirty function can be recomputed from already-stored material.
 
 2. A selected shortcut of node ``i`` only depends on bag functions of nodes on
-   ``i``'s root path, so only descendants of dirty vertices need their
-   shortcuts refreshed — and each refresh is a single upward profile sweep.
+   ``i``'s root path, so only descendants of vertices whose bag functions
+   changed need their shortcuts refreshed.  They are recomputed by the same
+   level-batched top-down construction (Fact 1) that builds the catalog, run
+   over their root paths only, so a repaired shortcut equals the catalog
+   entry of the repaired tree bit for bit.  A change at the root reaches
+   every node and so costs the shortcut phase of a fresh build.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ from repro.exceptions import EdgeNotFoundError, InvalidFunctionError
 from repro.functions.compound import compound, minimum_of
 from repro.functions.piecewise import PiecewiseLinearFunction
 from repro.functions.simplify import simplify
-from repro.core.query import _ascending_profiles  # shared upward sweep
-from repro.core.shortcuts import ShortcutPair
+from repro.core.shortcuts import _build_pairs_batched
 
 __all__ = ["UpdateReport", "apply_edge_updates"]
 
@@ -38,11 +41,19 @@ __all__ = ["UpdateReport", "apply_edge_updates"]
 class UpdateReport:
     """What an incremental update touched (returned by ``TDTreeIndex.update_edges``)."""
 
+    #: Edges whose weight function was replaced.
     num_changed_edges: int
+    #: Vertices whose bag functions were re-examined (phase 2).
     num_dirty_vertices: int = 0
+    #: Working-graph weights recomputed while re-examining them.
     num_recomputed_labels: int = 0
+    #: Distinct lowers of the selected shortcuts that were recomputed: the
+    #: nodes below a vertex whose bag functions changed.
     num_refreshed_shortcut_nodes: int = 0
+    #: Selected shortcut pairs recomputed (those of the refreshed nodes only;
+    #: pairs whose lower lies outside the changed subtrees are kept as is).
     num_refreshed_shortcut_pairs: int = 0
+    #: Wall-clock time of the whole repair.
     seconds: float = 0.0
     details: dict[str, float] = field(default_factory=dict)
 
@@ -149,11 +160,9 @@ def apply_edge_updates(
 
     # Phase 3: refresh the selected shortcuts of every affected node.  A node
     # is affected when a vertex whose bag functions changed lies on its root
-    # path.  For localised changes the per-node upward sweep is cheapest; when
-    # a large fraction of the tree is affected, re-running the (Fact 1)
-    # top-down shortcut construction over the repaired tree is cheaper, so the
-    # update degrades gracefully towards the shortcut-construction cost and
-    # never towards more than a full rebuild.
+    # path (Fact 2).  One level-batched Fact 1 pass over the root paths of
+    # the affected nodes recomputes them; that vertex set is closed under
+    # ancestors, so the pass finds every pair it combines.
     if index.shortcuts and changed_bag_vertices:
         affected_lowers = {
             lower
@@ -161,13 +170,7 @@ def apply_edge_updates(
             if _chain_intersects(tree, lower, changed_bag_vertices)
         }
         report.num_refreshed_shortcut_nodes = len(affected_lowers)
-        distinct_lowers = {lower for (lower, _upper) in index.shortcuts}
-        if affected_lowers and len(affected_lowers) > 0.25 * max(len(distinct_lowers), 1):
-            report.num_refreshed_shortcut_pairs = _rebuild_selected_shortcuts(index)
-        else:
-            for lower in affected_lowers:
-                refreshed = _refresh_shortcuts_of(index, lower)
-                report.num_refreshed_shortcut_pairs += refreshed
+        report.num_refreshed_shortcut_pairs = _refresh_shortcuts(index, affected_lowers)
 
     # The batch query engine memoises per-pair shortcut batches; any label or
     # shortcut refresh invalidates them.
@@ -225,54 +228,21 @@ def _chain_intersects(tree, vertex: int, dirty: set[int]) -> bool:
     return any(v in dirty for v in tree.root_path(vertex))
 
 
-def _rebuild_selected_shortcuts(index) -> int:
-    """Recompute the selected shortcut pairs via the Fact-1 top-down pass.
-
-    Used when most of the tree is affected: building the candidate catalog
-    over the already-repaired bag functions costs the same as the shortcut
-    phase of a fresh build, which is strictly less than a full rebuild
-    (no re-decomposition, no re-selection).
-    """
-    from repro.core.shortcuts import build_shortcut_catalog
-
-    catalog = build_shortcut_catalog(
-        index.tree,
-        max_points=index.max_points,
-        tolerance=index.tolerance,
-        compute_utilities=False,
+def _refresh_shortcuts(index, lowers: set[int]) -> int:
+    """Recompute the selected pairs ``<lower, *>`` of ``lowers`` (Fact 1)."""
+    tree = index.tree
+    vertices: set[int] = set()
+    for lower in lowers:
+        vertices.update(tree.root_path(lower))
+    pairs = _build_pairs_batched(
+        tree, vertices, max_points=index.max_points, tolerance=index.tolerance
     )
     refreshed = 0
-    for key, old_pair in list(index.shortcuts.items()):
-        new_pair = catalog.pairs.get(key)
-        if new_pair is None:
+    for key, old_pair in index.shortcuts.items():
+        if key[0] not in lowers:
             continue
+        new_pair = pairs[key]
         new_pair.utility = old_pair.utility
         index.shortcuts[key] = new_pair
-        refreshed += 1
-    return refreshed
-
-
-def _refresh_shortcuts_of(index, lower: int) -> int:
-    """Recompute all selected shortcut pairs ``<lower, *>`` with upward sweeps."""
-    tree = index.tree
-    forward_labels = _ascending_profiles(
-        tree, lower, forward=True, max_points=index.max_points
-    )
-    backward_labels = _ascending_profiles(
-        tree, lower, forward=False, max_points=index.max_points
-    )
-    refreshed = 0
-    for (pair_lower, upper), pair in list(index.shortcuts.items()):
-        if pair_lower != lower:
-            continue
-        forward = forward_labels.get(upper, pair.forward)
-        backward = backward_labels.get(upper, pair.backward)
-        index.shortcuts[(pair_lower, upper)] = ShortcutPair(
-            lower=pair_lower,
-            upper=upper,
-            forward=forward,
-            backward=backward,
-            utility=pair.utility,
-        )
         refreshed += 1
     return refreshed

@@ -34,6 +34,7 @@ service exact).
 from __future__ import annotations
 
 import threading
+import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -224,8 +225,10 @@ class ServiceFuture:
             if self._event is None:
                 self._event = threading.Event()
         # Publish-then-recheck: if the setter raced us it either saw the
-        # event (and set it) or completed before our recheck below.
-        end = None if timeout is None else self._clock.monotonic() + timeout
+        # event (and set it) or completed before our recheck below.  The
+        # caller's ``timeout`` is real time (it bounds how long this thread
+        # blocks); the query's deadline lives on the service clock.
+        end = None if timeout is None else time.monotonic() + timeout
         while not self._done:
             now = self._clock.monotonic()
             if self._deadline is not None and self._deadline - now <= 0.0:
@@ -235,14 +238,14 @@ class ServiceFuture:
                 return
             waits = []
             if end is not None:
-                waits.append(end - now)
+                waits.append(end - time.monotonic())
             if self._deadline is not None:
                 waits.append(self._deadline - now)
             wait_for = min(waits) if waits else None
             if wait_for is not None and wait_for <= 0.0:
                 break
             self._event.wait(wait_for)
-            if end is not None and self._clock.monotonic() >= end:
+            if end is not None and time.monotonic() >= end:
                 break
         if not self._done:
             raise TimeoutError("query result not available yet")

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import profile_search
 from repro.core import build_shortcut_catalog
-from repro.core.shortcuts import ShortcutPair
+from repro.core.shortcuts import ShortcutPair, _build_pairs_batched, _build_pairs_scalar
 from repro.functions import PiecewiseLinearFunction
 
 
@@ -84,6 +86,44 @@ class TestShortcutExactness:
         for pair in list(exact_catalog)[:50]:
             if pair.forward is not None:
                 assert pair.forward.min_cost >= 0.0
+
+
+@pytest.fixture(scope="module")
+def full_passes(request):
+    """Full batched and scalar passes over the small tree, both capped at 6 points."""
+    small_tree = request.getfixturevalue("small_tree")
+    batched = _build_pairs_batched(small_tree, small_tree.nodes, max_points=6, tolerance=0.0)
+    scalar = _build_pairs_scalar(small_tree, max_points=6, tolerance=0.0)
+    return batched, scalar
+
+
+class TestSubsetPass:
+    """The incremental repair runs the batched pass over an ancestor-closed subset."""
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_subset_pass_equals_the_full_pass(self, small_tree, full_passes, data):
+        batched, scalar = full_passes
+        seeds = data.draw(
+            st.lists(st.sampled_from(sorted(small_tree.nodes)), min_size=1, max_size=6),
+            label="seed vertices",
+        )
+        vertices = set()
+        for vertex in seeds:
+            vertices.update(small_tree.root_path(vertex))
+
+        subset = _build_pairs_batched(small_tree, vertices, max_points=6, tolerance=0.0)
+
+        expected = {key for key in batched if key[0] in vertices}
+        assert set(subset) == expected
+        for key, pair in subset.items():
+            for reference in (batched[key], scalar[key]):
+                assert pair.forward == reference.forward
+                assert pair.backward == reference.backward
 
 
 class TestUtilities:

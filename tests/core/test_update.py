@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import create_engine
 from repro.baselines import earliest_arrival
+from repro.core.shortcuts import build_shortcut_catalog
 from repro.exceptions import EdgeNotFoundError, InvalidFunctionError
 from repro.functions import PiecewiseLinearFunction
 from repro.graph import WeightGenerator, grid_network
@@ -129,3 +132,57 @@ class TestUpdateReport:
         u, v, weight = sorted(graph.edges())[0]
         report = engine.update_edges({(u, v): weight})
         assert report.num_refreshed_shortcut_nodes == 0
+
+
+class TestShortcutRepair:
+    """Repaired shortcuts equal the catalog of the repaired tree, bit for bit."""
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    @pytest.mark.parametrize("spec", ["td-appro?max_points=none", "td-h2h"])
+    def test_repaired_shortcuts_equal_the_catalog(self, spec, data):
+        seed = data.draw(st.sampled_from([51, 52, 53]), label="grid seed")
+        graph = grid_network(5, 5, num_points=3, seed=seed)
+        engine = create_engine(spec, graph)
+        edges = sorted((u, v) for u, v, _ in graph.edges())
+        steps = data.draw(
+            st.lists(
+                st.dictionaries(
+                    st.sampled_from(edges),
+                    st.sampled_from([0.25, 0.5, 2.0, 3.0]),
+                    min_size=1,
+                    max_size=3,
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            label="updates",
+        )
+        for step in steps:
+            engine.update_edges(
+                {edge: scaled(graph.weight(*edge), factor) for edge, factor in step.items()}
+            )
+
+        index = engine.index
+        catalog = build_shortcut_catalog(
+            index.tree,
+            max_points=index.max_points,
+            tolerance=index.tolerance,
+            compute_utilities=False,
+        )
+        for key, pair in index.shortcuts.items():
+            assert pair.forward == catalog.pairs[key].forward, key
+            assert pair.backward == catalog.pairs[key].backward, key
+
+    def test_refresh_counts_only_recomputed_pairs(self, fresh_index):
+        """A cone reaching a third of the lowers recomputes only their pairs."""
+        graph, engine = fresh_index
+        u, v, weight = sorted(graph.edges())[3]
+        report = engine.update_edges({(u, v): scaled(weight, 3.0)})
+        lowers = {lower for lower, _ in engine.index.shortcuts}
+        assert 0.25 * len(lowers) < report.num_refreshed_shortcut_nodes < len(lowers)
+        assert 0 < report.num_refreshed_shortcut_pairs < len(engine.index.shortcuts)

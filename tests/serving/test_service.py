@@ -79,6 +79,29 @@ def test_idle_flusher_settles_a_lone_query_without_the_clock_advancing(
         assert svc.stats().num_batches == 1
 
 
+def test_result_timeout_is_real_time_under_a_frozen_clock(approx_index, held_engine):
+    """A frozen service clock must not turn ``result(timeout)`` into a hang."""
+    held = held_engine(approx_index)
+    (s, t, d) = _workload(approx_index.graph, count=1, seed=6)[0]
+    with QueryService(held, max_batch_size=1024, clock=FakeClock()) as svc:
+        with held.plugged(svc.submit):
+            future = svc.submit(s, t, d)
+            outcome: list[BaseException] = []
+
+            def wait() -> None:
+                try:
+                    future.result(timeout=0.05)
+                except BaseException as exc:  # noqa: BLE001 - recorded for the assert
+                    outcome.append(exc)
+
+            waiter = threading.Thread(target=wait, daemon=True)
+            waiter.start()
+            waiter.join(timeout=1.0)
+            assert not waiter.is_alive()
+            assert len(outcome) == 1 and isinstance(outcome[0], TimeoutError)
+        assert future.result(timeout=10) == approx_index.query(s, t, d).cost
+
+
 def test_queries_arriving_during_a_flush_leave_together(approx_index, held_engine):
     held = held_engine(approx_index)
     workload = _workload(approx_index.graph, count=3, seed=4)
