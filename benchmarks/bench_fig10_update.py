@@ -72,8 +72,9 @@ def test_report_fig10(benchmark):
         rows,
         title="Fig. 10: incremental update cost (s) vs number of changed edges (SF)",
     )
-    # The update cost must never exceed a small multiple of a full rebuild and
-    # must touch more labels as more edges change.
+    # The update must stay within 1.5x a full rebuild (repair is only worth
+    # keeping while it undercuts one) and must touch more labels as more
+    # edges change.
     assert rows[-1]["dirty_vertices"] >= rows[0]["dirty_vertices"]
     for row in rows:
-        assert row["update_seconds"] <= 3.0 * row["full_rebuild_seconds"]
+        assert row["update_seconds"] <= 1.5 * row["full_rebuild_seconds"]

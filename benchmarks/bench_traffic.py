@@ -37,6 +37,7 @@ from repro.api import create_engine
 from repro.datasets.catalog import load_dataset
 from repro.serving import EngineHost
 from repro.traffic import AdaptivePolicy, ScenarioDriver, TrafficController
+from repro.utils.timing import SYSTEM_CLOCK
 
 from harness import register_report
 
@@ -132,7 +133,10 @@ def _run_scenario(host, driver, shadow, name, events, *, hammer_queries=None):
         if hammer:
             hammer.start()
         for chunk in _chunks(events):
-            for update in driver.updates(chunk):
+            # Chunks replay without pacing: stamp each one as it arrives, so
+            # staleness runs from ingest, never from a future event time.
+            origin = SYSTEM_CLOCK.monotonic() - chunk[0].at
+            for update in driver.updates(chunk, origin=origin):
                 controller.ingest(update)
                 shadow.set_weight(update.source, update.target, update.weight)
             report = controller.step()
@@ -160,6 +164,7 @@ def _run_scenario(host, driver, shadow, name, events, *, hammer_queries=None):
         if rel > ORACLE_REL_TOL:
             mismatches += 1
     assert mismatches == 0, f"{name}: {mismatches} answers diverged from oracle"
+    assert stats.staleness_p50_s >= 0.0, f"{name}: negative staleness"
     if hammer:
         assert hammer.failed == 0, f"{name}: {hammer.failed} queries failed"
         assert hammer.submitted == hammer.answered, "every query must settle"

@@ -394,6 +394,32 @@ class TDTreeIndex:
 
         return apply_edge_updates(self, changes)
 
+    def clone(self) -> "TDTreeIndex":
+        """A private copy that :meth:`update_edges` can repair.
+
+        Repair stores new objects into the graph adjacency, the label dicts
+        and the shortcuts dict and never edits a function or pair in place,
+        so only those containers are copied (see
+        :meth:`TFPTreeDecomposition.clone`); every function, pair, bag and
+        structural table is shared.  The clone starts with an empty batch
+        query memo and no invalidation hooks; repairing it leaves this index
+        answering exactly as before.
+        """
+        self._check_built()
+        cloned = TDTreeIndex(
+            self.graph.copy(),
+            self.tree.clone(),
+            dict(self.shortcuts),
+            strategy=self.strategy,
+            selection=self.selection,
+            catalog_size=self._catalog_size,
+            build_seconds=self._build_seconds,
+            max_points=self.max_points,
+            tolerance=self.tolerance,
+        )
+        cloned.engine_spec = self.engine_spec
+        return cloned
+
     def register_invalidation_hook(self, hook) -> None:
         """Register ``hook()`` to run whenever an update changes query answers.
 

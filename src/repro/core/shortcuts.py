@@ -216,8 +216,9 @@ def build_shortcut_catalog(
         can be asserted in tests and the scalar path kept as a reference.
     """
     if use_batch_kernels:
+        keys = [(v, upper) for v in tree.nodes for upper in tree.ancestors(v)]
         pairs = _build_pairs_batched(
-            tree, tree.nodes, max_points=max_points, tolerance=tolerance
+            tree, keys, max_points=max_points, tolerance=tolerance
         )
     else:
         pairs = _build_pairs_scalar(tree, max_points=max_points, tolerance=tolerance)
@@ -274,36 +275,63 @@ def _build_pairs_scalar(
     return pairs
 
 
+def _dependency_closure(
+    tree: TFPTreeDecomposition, keys: Iterable[tuple[int, int]]
+) -> set[tuple[int, int]]:
+    """``keys`` plus every pair their Fact 1 construction reads, transitively.
+
+    By Fact 1, ``<i, j>`` combines the bag functions of ``X(i)`` with, for
+    each ``v`` in ``bag(i)`` other than ``j``, the pair between ``v`` and
+    ``j``.  Both lie on ``i``'s root path, so that pair is keyed
+    ``(deeper, shallower)`` and its lower is shallower than ``i``.
+    """
+    nodes = tree.nodes
+    closed = set(keys)
+    stack = list(closed)
+    while stack:
+        lower, upper = stack.pop()
+        upper_height = nodes[upper].height
+        for v in nodes[lower].bag:
+            if v == upper:
+                continue
+            dependency = (v, upper) if nodes[v].height > upper_height else (upper, v)
+            if dependency not in closed:
+                closed.add(dependency)
+                stack.append(dependency)
+    return closed
+
+
 def _build_pairs_batched(
     tree: TFPTreeDecomposition,
-    vertices: Iterable[int],
+    keys: Iterable[tuple[int, int]],
     *,
     max_points: int | None,
     tolerance: float,
 ) -> dict[tuple[int, int], ShortcutPair]:
-    """Level-batched construction of every pair ``<v, *>`` for ``v`` in ``vertices``.
+    """Level-batched construction of the pairs ``<lower, upper>`` in ``keys``.
 
     Nodes at the same height are never ancestors of each other, so all their
     candidate ``Compound`` calls are independent once the shortcuts of the
-    shallower levels exist.  Each level therefore becomes one
-    :func:`compound_many` call, a left-fold of :func:`minimum_many` calls
-    (preserving the scalar ``minimum_of`` association order) and one
-    :func:`simplify_many` pass — amortising the per-function Python dispatch
-    that dominates the scalar construction.
+    shallower levels exist.  Each level (the keys grouped by the height of
+    their lower) therefore becomes one :func:`compound_many` call, a
+    left-fold of :func:`minimum_many` calls (preserving the scalar
+    ``minimum_of`` association order) and one :func:`simplify_many` pass —
+    amortising the per-function Python dispatch that dominates the scalar
+    construction.
 
-    ``vertices`` must be closed under ancestors: a node's pairs combine the
-    pairs of its bag vertices, which are looked up only among the pairs this
-    same pass builds.  The full catalog passes every tree node; incremental
-    repair passes the root paths of the nodes it refreshes.  The kernels work
-    row by row, so a node's pairs are the same whichever other nodes share
-    its level.
+    ``keys`` must be closed under :func:`_dependency_closure`: a pair combines
+    other pairs, which are looked up only among the pairs this same pass
+    builds.  The full catalog passes every ``(vertex, ancestor)`` key;
+    incremental repair passes the closure of the selected pairs it
+    refreshes.  The kernels work row by row, so a pair comes out the same
+    whichever other pairs share its level.
     """
     pairs: dict[tuple[int, int], ShortcutPair] = {}
     known_function = _known_function_lookup(pairs)
 
-    levels: dict[int, list[int]] = {}
-    for vertex in vertices:
-        levels.setdefault(tree.nodes[vertex].height, []).append(vertex)
+    levels: dict[int, list[tuple[int, int]]] = {}
+    for key in keys:
+        levels.setdefault(tree.nodes[key[0]].height, []).append(key)
 
     for height in sorted(levels):
         # Candidate descriptors per (vertex, upper, direction) group, in the
@@ -316,39 +344,37 @@ def _build_pairs_batched(
         groups: list[list[tuple[bool, int]]] = []  # (is_compound, local index)
         tasks: list[tuple[int, int, int | None, int | None]] = []
 
-        for vertex in levels[height]:
+        for vertex, upper in levels[height]:
             node = tree.nodes[vertex]
-            ancestors = tree.ancestors(vertex)
-            for upper in ancestors:
-                group_ids: list[int | None] = []
-                for forward in (True, False):
-                    bag_functions = node.ws if forward else node.wd
-                    refs: list[tuple[bool, int]] = []
-                    for bag_vertex, leg in bag_functions.items():
-                        if bag_vertex == upper:
-                            refs.append((False, len(direct_funcs)))
-                            direct_funcs.append(leg)
-                            continue
-                        if forward:
-                            other = known_function(bag_vertex, upper)
-                            legs = (leg, other)
-                        else:
-                            other = known_function(upper, bag_vertex)
-                            legs = (other, leg)
-                        if other is None:
-                            continue
-                        refs.append((True, len(comp_first)))
-                        comp_first.append(legs[0])
-                        comp_second.append(legs[1])
-                        comp_via.append(bag_vertex)
-                    if refs:
-                        group_ids.append(len(groups))
-                        groups.append(refs)
+            group_ids: list[int | None] = []
+            for forward in (True, False):
+                bag_functions = node.ws if forward else node.wd
+                refs: list[tuple[bool, int]] = []
+                for bag_vertex, leg in bag_functions.items():
+                    if bag_vertex == upper:
+                        refs.append((False, len(direct_funcs)))
+                        direct_funcs.append(leg)
+                        continue
+                    if forward:
+                        other = known_function(bag_vertex, upper)
+                        legs = (leg, other)
                     else:
-                        group_ids.append(None)
-                if group_ids[0] is None and group_ids[1] is None:
-                    continue
-                tasks.append((vertex, upper, group_ids[0], group_ids[1]))
+                        other = known_function(upper, bag_vertex)
+                        legs = (other, leg)
+                    if other is None:
+                        continue
+                    refs.append((True, len(comp_first)))
+                    comp_first.append(legs[0])
+                    comp_second.append(legs[1])
+                    comp_via.append(bag_vertex)
+                if refs:
+                    group_ids.append(len(groups))
+                    groups.append(refs)
+                else:
+                    group_ids.append(None)
+            if group_ids[0] is None and group_ids[1] is None:
+                continue
+            tasks.append((vertex, upper, group_ids[0], group_ids[1]))
 
         if not tasks:
             continue

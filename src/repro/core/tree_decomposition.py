@@ -20,7 +20,8 @@ smallest elimination order (Algorithm 2, lines 10-13).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -146,6 +147,27 @@ class TFPTreeDecomposition:
             if parent is not None:
                 sizes[parent] += sizes[vertex]
         return sizes
+
+    def clone(self) -> "TFPTreeDecomposition":
+        """A copy whose label dicts and caches can be repaired independently.
+
+        Each node is a new :class:`TreeNode` with its own ``ws``/``wd``
+        dicts; the label functions, bags, children, the LCA index, subtree
+        sizes and the contributor table are shared, because the update
+        machinery only ever stores new function objects into the dicts.
+        Serving threads fill the label-batch and ancestor caches
+        concurrently, so they are copied with ``dict(...)`` (one call under
+        the GIL) and never iterated here.
+        """
+        clone = copy.copy(self)
+        clone.nodes = {
+            vertex: replace(node, ws=dict(node.ws), wd=dict(node.wd))
+            for vertex, node in self.nodes.items()
+        }
+        clone._ancestor_cache = dict(self._ancestor_cache)
+        clone._ws_batch_cache = dict(self._ws_batch_cache)
+        clone._wd_batch_cache = dict(self._wd_batch_cache)
+        return clone
 
     # ------------------------------------------------------------------
     # Tree statistics (Definition 4)

@@ -18,9 +18,9 @@ structural facts of the TFP decomposition:
    ``i``'s root path, so only descendants of vertices whose bag functions
    changed need their shortcuts refreshed.  They are recomputed by the same
    level-batched top-down construction (Fact 1) that builds the catalog, run
-   over their root paths only, so a repaired shortcut equals the catalog
-   entry of the repaired tree bit for bit.  A change at the root reaches
-   every node and so costs the shortcut phase of a fresh build.
+   over the pairs they depend on only (the Fact 1 dependency closure of the
+   refreshed pairs, not every pair on their root paths), so a repaired
+   shortcut equals the catalog entry of the repaired tree bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.exceptions import EdgeNotFoundError, InvalidFunctionError
 from repro.functions.compound import compound, minimum_of
 from repro.functions.piecewise import PiecewiseLinearFunction
 from repro.functions.simplify import simplify
-from repro.core.shortcuts import _build_pairs_batched
+from repro.core.shortcuts import _build_pairs_batched, _dependency_closure
 
 __all__ = ["UpdateReport", "apply_edge_updates"]
 
@@ -55,6 +55,10 @@ class UpdateReport:
     num_refreshed_shortcut_pairs: int = 0
     #: Wall-clock time of the whole repair.
     seconds: float = 0.0
+    #: Per-phase breakdown: ``phase1_seconds`` (apply the changes),
+    #: ``phase2_seconds`` (repair bag functions), ``phase3_seconds`` (refresh
+    #: shortcuts) and ``phase3_pairs_built`` (pairs the refresh computed,
+    #: selected or not).
     details: dict[str, float] = field(default_factory=dict)
 
 
@@ -87,6 +91,7 @@ def apply_edge_updates(
 
     graph = index.graph
     tree = index.tree
+    details = report.details
 
     # Phase 1: apply the changes to the base graph and seed the dirty sets.
     dirty_edges: set[tuple[int, int]] = set()
@@ -103,6 +108,9 @@ def apply_edge_updates(
         dirty_edges.add((target, source))
         lower = min((source, target), key=lambda v: tree.nodes[v].order)
         dirty_vertices.add(lower)
+
+    phase_started = time.perf_counter()
+    details["phase1_seconds"] = phase_started - started
 
     # Phase 2: repair bag functions bottom-up in elimination order.  The dirty
     # queue is a heap keyed on elimination order plus a seen-set: bag vertices
@@ -157,12 +165,15 @@ def apply_edge_updates(
                     heapq.heappush(pending, (tree.nodes[b].order, b))
                     queued.add(b)
     report.num_dirty_vertices = len(processed)
+    now = time.perf_counter()
+    details["phase2_seconds"] = now - phase_started
+    phase_started = now
 
     # Phase 3: refresh the selected shortcuts of every affected node.  A node
     # is affected when a vertex whose bag functions changed lies on its root
-    # path (Fact 2).  One level-batched Fact 1 pass over the root paths of
-    # the affected nodes recomputes them; that vertex set is closed under
-    # ancestors, so the pass finds every pair it combines.
+    # path (Fact 2).  One level-batched Fact 1 pass over the dependency
+    # closure of the affected nodes' selected pairs recomputes them.
+    pairs_built = 0
     if index.shortcuts and changed_bag_vertices:
         affected_lowers = {
             lower
@@ -170,7 +181,11 @@ def apply_edge_updates(
             if _chain_intersects(tree, lower, changed_bag_vertices)
         }
         report.num_refreshed_shortcut_nodes = len(affected_lowers)
-        report.num_refreshed_shortcut_pairs = _refresh_shortcuts(index, affected_lowers)
+        report.num_refreshed_shortcut_pairs, pairs_built = _refresh_shortcuts(
+            index, affected_lowers
+        )
+    details["phase3_seconds"] = time.perf_counter() - phase_started
+    details["phase3_pairs_built"] = float(pairs_built)
 
     # The batch query engine memoises per-pair shortcut batches; any label or
     # shortcut refresh invalidates them.
@@ -228,21 +243,20 @@ def _chain_intersects(tree, vertex: int, dirty: set[int]) -> bool:
     return any(v in dirty for v in tree.root_path(vertex))
 
 
-def _refresh_shortcuts(index, lowers: set[int]) -> int:
-    """Recompute the selected pairs ``<lower, *>`` of ``lowers`` (Fact 1)."""
+def _refresh_shortcuts(index, lowers: set[int]) -> tuple[int, int]:
+    """Recompute the selected pairs ``<lower, *>`` of ``lowers`` (Fact 1).
+
+    Returns the number of selected pairs replaced and the number of pairs
+    the pass built to compute them.
+    """
     tree = index.tree
-    vertices: set[int] = set()
-    for lower in lowers:
-        vertices.update(tree.root_path(lower))
+    needed = [key for key in index.shortcuts if key[0] in lowers]
+    keys = _dependency_closure(tree, needed)
     pairs = _build_pairs_batched(
-        tree, vertices, max_points=index.max_points, tolerance=index.tolerance
+        tree, keys, max_points=index.max_points, tolerance=index.tolerance
     )
-    refreshed = 0
-    for key, old_pair in index.shortcuts.items():
-        if key[0] not in lowers:
-            continue
+    for key in needed:
         new_pair = pairs[key]
-        new_pair.utility = old_pair.utility
+        new_pair.utility = index.shortcuts[key].utility
         index.shortcuts[key] = new_pair
-        refreshed += 1
-    return refreshed
+    return len(needed), len(pairs)

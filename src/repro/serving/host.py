@@ -925,12 +925,9 @@ class EngineHost:
         source: if the live engine is later declared poisoned, recovery
         rebuilds from this snapshot (see :meth:`check`).
         """
-        from repro.api import parse_engine_spec
         from repro.persistence import load_index, read_manifest, save_index
 
         entry = self._get(deployment)
-        spec = entry.spec
-        engine = entry.engine
         pool = entry.replica_pool
         if pool is not None:
             # The pool is not an index; its snapshot directory holds the
@@ -941,9 +938,52 @@ class EngineHost:
             written = save_index(
                 load_index(pool.snapshot_path), path, engine_spec=engine_spec
             )
-            with self._lock:
-                entry.last_snapshot = written
-            return written
+        else:
+            index, spec = self._resolved_index(entry)
+            written = save_index(index, path, engine_spec=spec)
+        with self._lock:
+            entry.last_snapshot = written
+        return written
+
+    def clone(self, deployment: str) -> Any:
+        """A private engine holding a copy of the deployment's index.
+
+        The copy can be repaired with ``update_edges`` and installed with
+        :meth:`swap` while the live engine keeps serving, untouched.  An
+        in-process deployment is cloned in memory
+        (:meth:`~repro.core.index.TDTreeIndex.clone`) and named as
+        :meth:`snapshot` would record it (a ``faulty:`` deployment yields
+        its inner index).  A replica pool holds no index in this process,
+        so its clone is loaded from the pool's own snapshot.  Nothing is
+        written to disk and the rehydration source is left as it is.
+
+        Raises
+        ------
+        UnsupportedCapabilityError
+            When the deployment's engine is not index-backed (nothing to
+            repair).
+        """
+        from repro.api import TDTreeEngine, create_engine, parse_engine_spec
+        from repro.core.index import TDTreeIndex
+
+        entry = self._get(deployment)
+        pool = entry.replica_pool
+        if pool is not None:
+            return create_engine(f"snapshot:{pool.snapshot_path}")
+        index, spec = self._resolved_index(entry)
+        if not isinstance(index, TDTreeIndex):
+            raise UnsupportedCapabilityError(spec, "update")
+        cloned = index.clone()
+        cloned.engine_spec = spec
+        return TDTreeEngine(cloned, name=parse_engine_spec(spec)[0])
+
+    @staticmethod
+    def _resolved_index(entry: _Deployment) -> tuple[Any, str]:
+        """The deployment's native index and the spec a snapshot records."""
+        from repro.api import parse_engine_spec
+
+        spec = entry.spec
+        engine = entry.engine
         scheme = parse_engine_spec(spec)[0]
         if scheme == "faulty":
             inner = getattr(engine, "inner", None)
@@ -952,11 +992,7 @@ class EngineHost:
                 spec = str(getattr(inner, "name", spec))
         elif scheme == "snapshot":
             spec = str(getattr(engine, "name", spec))
-        index = getattr(engine, "index", engine)
-        written = save_index(index, path, engine_spec=spec)
-        with self._lock:
-            entry.last_snapshot = written
-        return written
+        return getattr(engine, "index", engine), spec
 
     # ------------------------------------------------------------------
     # Supervision

@@ -3,7 +3,7 @@
 The layer that turns a static index server into a live system.  Edge-weight
 events stream into an :class:`UpdateStream`; a :class:`TrafficController`
 coalesces them per edge, asks an :class:`UpdatePolicy` whether to patch the
-live index in place, patch a snapshot clone and hot-swap it, or rebuild in
+live index in place, patch an in-memory clone and hot-swap it, or rebuild in
 the background — and executes the choice through
 :class:`~repro.serving.EngineHost` without ever blocking the query path.
 Staleness (seconds from event to servable answer) is the loop's first-class

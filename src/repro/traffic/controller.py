@@ -9,9 +9,9 @@ observed state, and executes it through the
 
 * ``patch`` → :meth:`EngineHost.apply_updates` (in-place incremental
   repair, serialized against swaps by the deployment's swap lock);
-* ``clone_swap`` → :meth:`EngineHost.snapshot` → load the clone → patch the
-  clone → :meth:`EngineHost.swap` (queries keep flowing against the old
-  engine until the atomic flip);
+* ``clone_swap`` → :meth:`EngineHost.clone` (an in-memory copy) → patch
+  the clone → :meth:`EngineHost.swap` (queries keep flowing against the old
+  engine until the atomic flip; nothing is written to disk);
 * ``rebuild`` → copy + patch the graph → :meth:`EngineHost.swap` with a
   build spec (the old engine serves throughout the build).
 
@@ -24,12 +24,9 @@ action in ``repro_traffic_actions_total``, and every step emits a
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 import threading
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Deque, Iterable, Mapping, Optional
 
@@ -228,7 +225,6 @@ class TrafficController:
         self._pending_event_times: list[float] = []
         self._baseline: dict[tuple[int, int], PiecewiseLinearFunction] = {}
         self._last_qps_probe: Optional[tuple[float, int]] = None
-        self._owned_snapshot_dir: Optional[Path] = None
 
         # Counters behind the stats lock (stats() may race the loop).
         self._stats_lock = threading.Lock()
@@ -491,11 +487,7 @@ class TrafficController:
     def _execute_clone_swap(
         self, changes: Mapping[tuple[int, int], PiecewiseLinearFunction]
     ) -> tuple[Any, Any]:
-        from repro.api import create_engine
-
-        tmp = Path(tempfile.mkdtemp(prefix="repro-traffic-"))
-        snapshot = self._host.snapshot(self._deployment, tmp / "clone")
-        clone = create_engine(f"snapshot:{snapshot}")
+        clone = self._host.clone(self._deployment)
         update_report = clone.update_edges(dict(changes))
         # Record the buildable spec alongside the ready clone: otherwise the
         # deployment's spec degrades to the engine's bare name and a later
@@ -503,13 +495,6 @@ class TrafficController:
         swap_report = self._host.swap(
             self._deployment, clone, spec=self._rebuild_spec
         )
-        # The previous clone's snapshot directory is only disposable now
-        # that a newer generation serves; the latest one stays on disk as
-        # the deployment's rehydration source (pre-patch, but a valid
-        # index — supervision trades staleness for availability there).
-        previous, self._owned_snapshot_dir = self._owned_snapshot_dir, tmp
-        if previous is not None:
-            shutil.rmtree(previous, ignore_errors=True)
         return update_report, swap_report
 
     def _execute_rebuild(
@@ -599,14 +584,11 @@ class TrafficController:
             self._loop_thread = None
 
     def close(self) -> None:
-        """Stop the loop, close the stream, drop owned snapshot storage."""
+        """Stop the loop and close the stream."""
         self.stop()
         self._stream.close()
         with self._step_lock:
             self._closed = True
-            owned, self._owned_snapshot_dir = self._owned_snapshot_dir, None
-        if owned is not None:
-            shutil.rmtree(owned, ignore_errors=True)
 
     def __enter__(self) -> "TrafficController":
         return self

@@ -8,9 +8,10 @@ maintenance actions is a real online decision:
   (:meth:`EngineHost.apply_updates`).  Cheapest for small dirty cones, but
   queries racing the repair may transiently see mixed old/new weights, so
   it is only safe at low qps.
-* ``clone_swap`` — snapshot, patch the clone, hot-swap
-  (:meth:`EngineHost.snapshot` → ``update_edges`` → :meth:`EngineHost.swap`).
-  Never exposes a half-repaired index; costs a snapshot round-trip.
+* ``clone_swap`` — clone in memory, patch the clone, hot-swap
+  (:meth:`EngineHost.clone` → ``update_edges`` → :meth:`EngineHost.swap`).
+  Never exposes a half-repaired index; costs a copy of the index's
+  containers (functions are shared) on top of the repair.
 * ``rebuild`` — rebuild from the patched graph and swap.  The trivial upper
   bound that wins once most of the tree is dirty anyway.
 

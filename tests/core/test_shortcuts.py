@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from repro.baselines import profile_search
 from repro.core import build_shortcut_catalog
-from repro.core.shortcuts import ShortcutPair, _build_pairs_batched, _build_pairs_scalar
+from repro.core.shortcuts import (
+    ShortcutPair,
+    _build_pairs_batched,
+    _build_pairs_scalar,
+    _dependency_closure,
+)
 from repro.functions import PiecewiseLinearFunction
 
 
@@ -88,17 +93,23 @@ class TestShortcutExactness:
                 assert pair.forward.min_cost >= 0.0
 
 
+def _catalog_keys(tree):
+    return [(v, upper) for v in tree.nodes for upper in tree.ancestors(v)]
+
+
 @pytest.fixture(scope="module")
 def full_passes(request):
     """Full batched and scalar passes over the small tree, both capped at 6 points."""
     small_tree = request.getfixturevalue("small_tree")
-    batched = _build_pairs_batched(small_tree, small_tree.nodes, max_points=6, tolerance=0.0)
+    batched = _build_pairs_batched(
+        small_tree, _catalog_keys(small_tree), max_points=6, tolerance=0.0
+    )
     scalar = _build_pairs_scalar(small_tree, max_points=6, tolerance=0.0)
     return batched, scalar
 
 
 class TestSubsetPass:
-    """The incremental repair runs the batched pass over an ancestor-closed subset."""
+    """The incremental repair runs the batched pass over a dependency-closed subset."""
 
     @settings(
         max_examples=25,
@@ -115,8 +126,11 @@ class TestSubsetPass:
         vertices = set()
         for vertex in seeds:
             vertices.update(small_tree.root_path(vertex))
+        # Every pair on an ancestor-closed vertex set is dependency-closed.
+        keys = [key for key in _catalog_keys(small_tree) if key[0] in vertices]
+        assert _dependency_closure(small_tree, keys) == set(keys)
 
-        subset = _build_pairs_batched(small_tree, vertices, max_points=6, tolerance=0.0)
+        subset = _build_pairs_batched(small_tree, keys, max_points=6, tolerance=0.0)
 
         expected = {key for key in batched if key[0] in vertices}
         assert set(subset) == expected
@@ -124,6 +138,45 @@ class TestSubsetPass:
             for reference in (batched[key], scalar[key]):
                 assert pair.forward == reference.forward
                 assert pair.backward == reference.backward
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_closure_pass_equals_the_full_catalog(self, small_tree, full_passes, data):
+        batched, scalar = full_passes
+        selected = data.draw(
+            st.lists(
+                st.sampled_from(sorted(batched)), min_size=1, max_size=12, unique=True
+            ),
+            label="selected pairs",
+        )
+        keys = _dependency_closure(small_tree, selected)
+        assert set(selected) <= keys
+        assert _dependency_closure(small_tree, keys) == keys
+
+        subset = _build_pairs_batched(small_tree, keys, max_points=6, tolerance=0.0)
+
+        assert set(selected) <= set(subset)
+        assert set(subset) == {key for key in keys if key in batched}
+        for key, pair in subset.items():
+            for reference in (batched[key], scalar[key]):
+                assert pair.forward == reference.forward
+                assert pair.backward == reference.backward
+
+    def test_closure_of_a_deep_pair_skips_unread_pairs(self, small_tree):
+        deepest = max(small_tree.nodes, key=small_tree.height)
+        root_path_pairs = {
+            (v, upper)
+            for v in small_tree.root_path(deepest)
+            for upper in small_tree.ancestors(v)
+        }
+        parent = small_tree.parent(deepest)
+        keys = _dependency_closure(small_tree, [(deepest, parent)])
+        assert keys <= root_path_pairs
+        assert len(keys) < len(root_path_pairs)
 
 
 class TestUtilities:

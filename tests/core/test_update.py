@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import sys
+import tempfile
+import threading
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import create_engine
 from repro.baselines import earliest_arrival
+from repro.core.index import TDTreeIndex
 from repro.core.shortcuts import build_shortcut_catalog
 from repro.exceptions import EdgeNotFoundError, InvalidFunctionError
 from repro.functions import PiecewiseLinearFunction
@@ -126,6 +132,39 @@ class TestUpdateReport:
         assert report.seconds >= 0.0
         assert report.num_dirty_vertices >= 1
 
+    def test_details_record_phases_and_pairs_built(self, fresh_index):
+        graph, engine = fresh_index
+        index = engine.index
+        before = dict(index.shortcuts)
+        u, v, weight = sorted(graph.edges())[3]
+        report = engine.update_edges({(u, v): scaled(weight, 3.0)})
+        details = report.details
+        phases = [details[f"phase{k}_seconds"] for k in (1, 2, 3)]
+        assert all(seconds >= 0.0 for seconds in phases)
+        assert sum(phases) <= report.seconds
+        # The pass builds the refreshed pairs plus the pairs they read:
+        # fewer than every pair on the refreshed lowers' root paths.
+        refreshed = {
+            key[0] for key, pair in index.shortcuts.items() if pair is not before[key]
+        }
+        assert len(refreshed) == report.num_refreshed_shortcut_nodes
+        tree = index.tree
+        root_path_pairs = {
+            (w, upper)
+            for lower in refreshed
+            for w in tree.root_path(lower)
+            for upper in tree.ancestors(w)
+        }
+        built = details["phase3_pairs_built"]
+        assert report.num_refreshed_shortcut_pairs <= built < len(root_path_pairs)
+
+    def test_details_without_shortcut_work(self, fresh_index):
+        graph, engine = fresh_index
+        assert engine.update_edges({}).details == {}
+        u, v, weight = sorted(graph.edges())[0]
+        report = engine.update_edges({(u, v): weight})
+        assert report.details["phase3_pairs_built"] == 0.0
+
     def test_identity_update_touches_little(self, fresh_index):
         """Re-writing the same weight must not cascade into shortcut refreshes."""
         graph, engine = fresh_index
@@ -186,3 +225,120 @@ class TestShortcutRepair:
         lowers = {lower for lower, _ in engine.index.shortcuts}
         assert 0.25 * len(lowers) < report.num_refreshed_shortcut_nodes < len(lowers)
         assert 0 < report.num_refreshed_shortcut_pairs < len(engine.index.shortcuts)
+
+
+def _state(index: TDTreeIndex) -> tuple:
+    """Everything a repair may rewrite, in ``==``-comparable form."""
+    tree = index.tree
+    return (
+        {v: node.bag for v, node in tree.nodes.items()},
+        {v: dict(node.ws) for v, node in tree.nodes.items()},
+        {v: dict(node.wd) for v, node in tree.nodes.items()},
+        {key: (pair.forward, pair.backward) for key, pair in index.shortcuts.items()},
+        {(u, v): weight for u, v, weight in index.graph.edges()},
+    )
+
+
+def _answers(engine, queries) -> list[float]:
+    sources, targets, departures = (np.array(column) for column in zip(*queries))
+    batch = engine.batch_query(sources, targets, departures).costs.tolist()
+    return [engine.query(s, t, d).cost for s, t, d in queries] + batch
+
+
+class TestClone:
+    """``TDTreeIndex.clone`` gives repair a private copy of the index."""
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    @pytest.mark.parametrize(
+        "spec", ["td-basic?max_points=none", "td-appro?max_points=none", "td-h2h"]
+    )
+    def test_repairing_a_clone_leaves_the_original_alone(self, spec, data):
+        seed = data.draw(st.sampled_from([51, 52, 53]), label="grid seed")
+        graph = grid_network(5, 5, num_points=3, seed=seed)
+        engine = create_engine(spec, graph)
+        edges = sorted((u, v) for u, v, _ in graph.edges())
+        step = data.draw(
+            st.dictionaries(
+                st.sampled_from(edges),
+                st.sampled_from([0.25, 0.5, 2.0, 3.0]),
+                min_size=1,
+                max_size=3,
+            ),
+            label="update",
+        )
+        changes = {edge: scaled(graph.weight(*edge), f) for edge, f in step.items()}
+        rng = np.random.default_rng(seed)
+        queries = [
+            (int(rng.integers(25)), int(rng.integers(25)), float(rng.uniform(0, 86_400)))
+            for _ in range(12)
+        ]
+        before = _state(engine.index)
+        answers_before = _answers(engine, queries)
+
+        clone = type(engine)(engine.index.clone(), name=engine.name)
+        clone.update_edges(changes)
+
+        assert _state(engine.index) == before
+        assert _answers(engine, queries) == answers_before
+
+        with tempfile.TemporaryDirectory() as directory:
+            engine.index.save(directory)
+            reference = create_engine(f"snapshot:{directory}")
+        reference.update_edges(changes)
+        assert _state(clone.index) == _state(reference.index)
+        assert _answers(clone, queries) == _answers(reference, queries)
+
+    def test_clones_taken_while_readers_refill_the_caches(self):
+        """Readers refill the label-batch caches while clones are taken and
+        repaired; the original never changes an answer and every clone
+        repairs to the same index."""
+        graph = grid_network(5, 5, num_points=3, seed=52)
+        engine = create_engine("td-appro?max_points=none", graph)
+        u, v, weight = sorted(graph.edges())[3]
+        changes = {(u, v): scaled(weight, 3.0)}
+        rng = np.random.default_rng(52)
+        queries = [
+            (int(rng.integers(25)), int(rng.integers(25)), float(rng.uniform(0, 86_400)))
+            for _ in range(12)
+        ]
+        expected = _answers(engine, queries)
+        reference = type(engine)(engine.index.clone(), name=engine.name)
+        reference.update_edges(changes)
+        repaired = _answers(reference, queries)
+
+        stop = threading.Event()
+        wrong: list[list[float]] = []
+        tree = engine.index.tree
+
+        def read(offset: int) -> None:
+            vertices = sorted(tree.nodes)
+            k = offset
+            while not stop.is_set():
+                tree.invalidate_label_batches(vertices[k % 25 : k % 25 + 3])
+                k += 1
+                answers = _answers(engine, queries)
+                if answers != expected:
+                    wrong.append(answers)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=read, args=(i * 7,)) for i in range(4)]
+        try:
+            for reader in readers:
+                reader.start()
+            for _ in range(8):
+                clone = type(engine)(engine.index.clone(), name=engine.name)
+                clone.update_edges(changes)
+                assert _answers(clone, queries) == repaired
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert wrong == []

@@ -24,6 +24,7 @@ from repro.exceptions import (
     EngineSpecError,
     HostError,
     UnknownDeploymentError,
+    UnsupportedCapabilityError,
     VertexNotFoundError,
 )
 from repro.obs.metrics import LATENCY_BUCKETS_MS, Histogram, bucket_percentile
@@ -349,6 +350,42 @@ def test_resnapshot_records_engine_name_not_snapshot_path(host, small_grid, tmp_
     assert rehydrated.name == "td-appro"
     s, t, d = _workload(small_grid, count=1, seed=18)[0]
     assert rehydrated.query(s, t, d).cost == host.query("prod", s, t, d)
+
+
+@pytest.mark.parametrize(
+    "spec", ["td-appro?budget_fraction=0.4", "faulty:td-h2h?poison_from=1"]
+)
+def test_clone_is_named_like_a_snapshot_and_repairs_privately(
+    host, small_grid, tmp_path, spec
+):
+    host.deploy("prod", spec, small_grid.copy())
+    clone = host.clone("prod")
+    snapshot = create_engine(f"snapshot:{host.snapshot('prod', tmp_path / 'snap')}")
+    assert (clone.name, clone.index.engine_spec) == (
+        snapshot.name,
+        snapshot.index.engine_spec,
+    )
+    live = host.deployment("prod").engine
+    queries = _workload(small_grid, count=8, seed=15)
+    before = [snapshot.query(s, t, d).cost for s, t, d in queries]
+    assert [clone.query(s, t, d).cost for s, t, d in queries] == before
+
+    weight = small_grid.weight(0, 1)
+    clone.update_edges({(0, 1): weight.shift(900.0)})
+    snapshot.update_edges({(0, 1): weight.shift(900.0)})
+    assert [clone.query(s, t, d).cost for s, t, d in queries] == [
+        snapshot.query(s, t, d).cost for s, t, d in queries
+    ]
+    # The live engine is untouched.
+    inner = getattr(live, "inner", live)
+    assert inner.graph.weight(0, 1) == weight
+    assert [inner.query(s, t, d).cost for s, t, d in queries] == before
+
+
+def test_clone_refuses_an_index_free_engine(host, small_grid):
+    host.deploy("prod", "td-dijkstra", small_grid)
+    with pytest.raises(UnsupportedCapabilityError):
+        host.clone("prod")
 
 
 def test_create_engine_snapshot_spec_roundtrip(small_grid, tmp_path):

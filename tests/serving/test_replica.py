@@ -349,6 +349,15 @@ class TestHostIntegration:
         assert report.state is HealthState.HEALTHY
         assert report.replicas_alive == 2
 
+    def test_clone_loads_the_pool_snapshot(self, replica_host, basic_index):
+        clone = replica_host.clone("prod")
+        assert clone.name == basic_index.name
+        sources, targets, departures = _workload(basic_index.graph, count=20, seed=54)
+        assert np.array_equal(
+            clone.batch_query(sources, targets, departures).costs,
+            basic_index.batch_query(sources, targets, departures).costs,
+        )
+
     def test_replica_stats_on_unknown_deployment_raises(self, replica_host):
         with pytest.raises(HostError):
             replica_host.replica_stats("missing")

@@ -13,9 +13,13 @@ import numpy as np
 import pytest
 
 from repro.api import create_engine
-from repro.exceptions import TrafficControlError, UnknownDeploymentError
+from repro.exceptions import (
+    TrafficControlError,
+    UnknownDeploymentError,
+    WorkerCrashedError,
+)
 from repro.obs import Observability
-from repro.serving import EngineHost
+from repro.serving import EngineHost, HealthState, InjectedFaultError, SupervisionConfig
 from repro.traffic import (
     ACTION_CLONE_SWAP,
     ACTION_PATCH,
@@ -210,6 +214,69 @@ class TestActions:
                 )
                 assert decision.action == ACTION_CLONE_SWAP
                 assert "downgraded" in decision.reason
+
+
+class TestSupervisionAfterSteps:
+    """A clone_swap step must not leave supervision a rehydration source."""
+
+    POISONED = "faulty:td-appro?max_points=none&poison_from=1"
+
+    @staticmethod
+    def _supervised_host():
+        return EngineHost(
+            max_batch_size=32,
+            cache_size=0,
+            supervision=SupervisionConfig(
+                interval_ms=60_000.0, max_restarts=0, failure_threshold=1
+            ),
+        )
+
+    @staticmethod
+    def _clone_swap_step(host, graph, delay):
+        with TrafficController(
+            host, "prod", policy=FixedPolicy(ACTION_CLONE_SWAP)
+        ) as controller:
+            controller.stream.emit(0, 1, graph.weight(0, 1).shift(delay))
+            report = controller.step()
+        assert report is not None and report.action == ACTION_CLONE_SWAP
+
+    def _poison(self, host, graph):
+        host.swap("prod", self.POISONED, graph.copy())
+        for source in range(3):
+            future = host.submit("prod", source, 24, 0.0)
+            host.flush("prod")
+            assert isinstance(future.exception(5.0), InjectedFaultError)
+
+    def test_poisoned_deployment_parks_after_a_closed_controller(
+        self, small_grid
+    ):
+        with self._supervised_host() as host:
+            host.deploy("prod", "td-appro?max_points=none", small_grid.copy())
+            self._clone_swap_step(host, small_grid, 300.0)
+            self._poison(host, small_grid)
+
+            report = host.check()["prod"]
+            assert report.action == "park"
+            assert host.health("prod").state is HealthState.UNHEALTHY
+            with pytest.raises(WorkerCrashedError):
+                host.submit("prod", 0, 24, 0.0)
+
+    def test_step_leaves_the_rehydration_source_as_it_found_it(
+        self, small_grid, tmp_path
+    ):
+        with self._supervised_host() as host:
+            host.deploy("prod", "td-appro?max_points=none", small_grid.copy())
+            snapshot = host.snapshot("prod", tmp_path / "known-good")
+            self._clone_swap_step(host, small_grid, 300.0)
+            self._clone_swap_step(host, small_grid, 600.0)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["known-good"]
+            self._poison(host, small_grid)
+
+            report = host.check()["prod"]
+            assert report.action == "rehydrate"
+            assert host.deployment("prod").spec == f"snapshot:{snapshot}"
+            known_good = create_engine(f"snapshot:{snapshot}")
+            assert host.query("prod", 0, 24, 0.0) == known_good.query(0, 24, 0.0).cost
 
 
 class TestStaleness:
