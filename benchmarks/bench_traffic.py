@@ -3,25 +3,23 @@
 Three seeded scenarios replay against one ``td-h2h`` deployment on the CAL
 sample while closed-loop query hammers keep the serving path busy:
 
-* **flash_incident** — one edge jumps at 3 a.m. (hammers idle): a small
-  dirty cone on a quiet network is the in-place **patch** case;
-* **rolling_closure** — a maintenance corridor under live traffic: middling
-  dirty cones land in the policy's **clone_swap** band;
-* **rush_hour** — network-wide waves that finally clear: dirty fractions
-  past the crossover trigger background **rebuild** and swap.
+* **flash_incident** — one edge jumps at 3 a.m. (hammers idle);
+* **rolling_closure** — a maintenance corridor under live traffic;
+* **rush_hour** — network-wide waves that finally clear.
 
-The run must exercise all three policy actions, settle every submitted
-query (zero never-settled), and end every scenario with answers matching a
-fresh engine built from a shadow graph that tracked the same updates — the
-strongest oracle available.  The engine is deployed *exact*
-(``max_points=none``): with lossy function simplification on, incremental
-repair and fresh build legitimately diverge inside the approximation
-envelope, which would mask real bugs.  Exact, the only residue is float
-summation order (the repair reassociates the same min-plus sums), observed
-at ≤2 ulp; the oracle gate is rel ≤ 1e-12 and the bit-exact rate is
-reported per scenario.  Per-scenario staleness p50/p99/max (event ingest →
-servable answer), action mix, and closed-loop qps land in
-``results/BENCH_traffic.json``; headline numbers append to
+Every control step applies its batch the one way there is: clone the live
+index, repair the clone, swap it in (``clone_swap``).  The run must settle
+every submitted query (zero never-settled, zero failed), and end every
+scenario with answers matching a fresh engine built from a shadow graph
+that tracked the same updates — the strongest oracle available.  The
+engine is deployed *exact* (``max_points=none``): with lossy function
+simplification on, incremental repair and fresh build legitimately diverge
+inside the approximation envelope, which would mask real bugs.  Exact, the
+only residue is float summation order (the repair reassociates the same
+min-plus sums), observed at ≤2 ulp; the oracle gate is rel ≤ 1e-12 and the
+bit-exact rate is reported per scenario.  Per-scenario staleness
+p50/p99/max (event ingest → servable answer), step count, and closed-loop
+qps land in ``results/BENCH_traffic.json``; headline numbers append to
 ``results/BENCH_history.jsonl``.
 """
 
@@ -36,7 +34,7 @@ import numpy as np
 from repro.api import create_engine
 from repro.datasets.catalog import load_dataset
 from repro.serving import EngineHost
-from repro.traffic import AdaptivePolicy, ScenarioDriver, TrafficController
+from repro.traffic import ACTION_CLONE_SWAP, ScenarioDriver, TrafficController
 from repro.utils.timing import SYSTEM_CLOCK
 
 from harness import register_report
@@ -52,10 +50,6 @@ ORACLE_REL_TOL = 1e-12
 HAMMER_THREADS = 3
 #: Oracle workload size per scenario (bit-identity checked per query).
 ORACLE_QUERIES = 40
-#: Dirty-fraction thresholds sized to the CAL sample: a single-edge cone is
-#: ~15% of the graph (patchable), a corridor chunk ~22-24% (clone band),
-#: and a rush-hour wave 47-64% (past the rebuild crossover).
-POLICY = dict(patch_dirty_fraction=0.18, rebuild_dirty_fraction=0.45)
 
 
 def _workload(graph, count, seed):
@@ -125,11 +119,8 @@ def _chunks(events):
 def _run_scenario(host, driver, shadow, name, events, *, hammer_queries=None):
     """Replay one scenario through a fresh controller; return its report row."""
     hammer = _Hammer(host, hammer_queries) if hammer_queries else None
-    actions: dict[str, int] = defaultdict(int)
     started = time.perf_counter()
-    with TrafficController(
-        host, "prod", policy=AdaptivePolicy(**POLICY)
-    ) as controller:
+    with TrafficController(host, "prod") as controller:
         if hammer:
             hammer.start()
         for chunk in _chunks(events):
@@ -141,7 +132,7 @@ def _run_scenario(host, driver, shadow, name, events, *, hammer_queries=None):
                 shadow.set_weight(update.source, update.target, update.weight)
             report = controller.step()
             assert report is not None, "a non-empty chunk must execute"
-            actions[report.action] += 1
+            assert report.action == ACTION_CLONE_SWAP, report.action
         if hammer:
             hammer.stop()
         stats = controller.stats()
@@ -173,9 +164,6 @@ def _run_scenario(host, driver, shadow, name, events, *, hammer_queries=None):
         "scenario": name,
         "events": len(events),
         "steps": stats.steps,
-        "patch": actions["patch"],
-        "clone_swap": actions["clone_swap"],
-        "rebuild": actions["rebuild"],
         "updates_ingested": stats.updates_ingested,
         "updates_coalesced": stats.updates_coalesced,
         "staleness_p50_s": stats.staleness_p50_s,
@@ -220,15 +208,11 @@ def test_traffic_control_loop():
                 hammer_queries=queries,
             )
         )
-
-    # The loop must have exercised every maintenance action at least once.
-    for action in ("patch", "clone_swap", "rebuild"):
-        assert sum(row[action] for row in rows) >= 1, f"{action} never executed"
     register_report(
         "traffic",
         rows,
         title=(
             f"Live-traffic control loop on {DATASET} (c={C}, seed {SEED}): "
-            "staleness and action mix per scenario under closed-loop queries"
+            "staleness per scenario under closed-loop queries"
         ),
     )

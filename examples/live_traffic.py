@@ -1,18 +1,11 @@
 #!/usr/bin/env python
 """Live traffic: stream incidents through the control loop, watch staleness.
 
-The predecessor of this example (``hot_swap_update.py``) performed one
-snapshot → patch-the-clone → swap cycle by hand.  ``repro.traffic`` closes
-that loop: edge-weight events stream into a :class:`TrafficController`,
-each control step coalesces them per edge (latest wins), and an
-:class:`AdaptivePolicy` picks the cheapest safe maintenance action from the
-estimated dirty cone, the live query rate, and measured per-action costs —
-
-* a small dirty cone → **patch** the live index in place (serialized
-  against swaps by the deployment's swap lock);
-* a middling cone under live traffic → snapshot, patch the **clone**, swap
-  (queries never see a half-updated index);
-* a large cone → background **rebuild** from the patched graph, then swap.
+Edge-weight events stream into a :class:`TrafficController`; each control
+step coalesces them per edge (latest wins) and applies the batch through
+``EngineHost.apply_updates``, the one update path: clone the live index in
+memory, repair the clone, swap it in.  Queries keep flowing against the old
+engine until the atomic flip, and never see a half-updated index.
 
 Staleness — seconds from the event to a servable answer that reflects it —
 is the loop's first-class health metric, published per deployment as the
@@ -32,7 +25,8 @@ from repro import create_engine
 from repro.datasets import load_dataset
 from repro.exceptions import AdmissionRejectedError
 from repro.serving import EngineHost, SupervisionConfig, retry_submit
-from repro.traffic import AdaptivePolicy, ScenarioDriver, TrafficController
+from repro.traffic import ScenarioDriver, TrafficController
+from repro.utils.timing import SYSTEM_CLOCK
 
 #: Exact build spec: no lossy simplification, so post-update answers match a
 #: fresh rebuild bit for bit (up to float summation order).
@@ -52,7 +46,10 @@ def main() -> None:
 
     # A commuter keeps querying throughout — the control loop must never
     # block or break the serving path.  Any exception fails the run: this
-    # script doubles as the CI gate for that property.
+    # script doubles as the CI gate for that property.  The commuter pauses
+    # a millisecond between queries: answered from the result cache, an
+    # unpaced loop would hold the interpreter lock and starve the control
+    # loop, and the printed staleness would measure that, not the repair.
     source, target = 2, graph.num_vertices - 3
     departure = 8.5 * 3600.0
     served = 0
@@ -62,7 +59,7 @@ def main() -> None:
     def commuter() -> None:
         nonlocal served
         try:
-            while not stop.is_set():
+            while not stop.wait(0.001):
                 retry_submit(
                     lambda: host.query("prod", source, target, departure),
                     retry_on=(AdmissionRejectedError,),
@@ -78,7 +75,7 @@ def main() -> None:
 
     driver = ScenarioDriver(graph, seed=11)
     shadow = graph.copy()  # tracks every update; the oracle builds from it
-    controller = TrafficController(host, "prod", policy=AdaptivePolicy())
+    controller = TrafficController(host, "prod")
     with controller:
         controller.start(interval_seconds=0.05)  # control steps off the query path
 
@@ -91,11 +88,15 @@ def main() -> None:
         for event in timeline:
             by_time.setdefault(event.at, []).append(event)
         for at in sorted(by_time):
-            for update in driver.updates(by_time[at]):
+            # The timeline replays without pacing: stamp each chunk as it
+            # arrives, so staleness runs from ingest, not from a future
+            # event time.
+            origin = SYSTEM_CLOCK.monotonic() - at
+            for update in driver.updates(by_time[at], origin=origin):
                 controller.ingest(update)
                 shadow.set_weight(update.source, update.target, update.weight)
             # Wait for the loop to drain this chunk before the next lands,
-            # so the printed action mix maps 1:1 onto timeline steps.
+            # so each timeline step is one control step.
             while controller.pending_edges or controller.stream.pending:
                 time.sleep(0.01)
 
@@ -107,12 +108,9 @@ def main() -> None:
     if commuter_errors:
         raise commuter_errors[0]
 
-    mix = ", ".join(
-        f"{action}×{count}" for action, count in sorted(stats.actions.items()) if count
-    )
     print(
-        f"{stats.updates_ingested} events over {stats.steps} control steps "
-        f"({stats.updates_coalesced} coalesced away): {mix}"
+        f"{stats.updates_ingested} events over {stats.steps} clone-repair-swap "
+        f"steps ({stats.updates_coalesced} coalesced away)"
     )
     print(
         f"staleness (event → servable answer): p50 {stats.staleness_p50_s * 1000:.0f} ms, "

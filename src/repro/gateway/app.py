@@ -630,10 +630,8 @@ class GatewayApp:
         if report is not None:
             payload["applied"] = {
                 "action": report.action,
-                "reason": report.reason,
                 "raw_updates": report.raw_updates,
                 "coalesced_edges": report.coalesced_edges,
-                "dirty_estimate": report.dirty_estimate,
                 "seconds": report.seconds,
                 "staleness_p50_s": report.staleness_p50_s,
                 "staleness_max_s": report.staleness_max_s,

@@ -51,14 +51,14 @@ EVENT_DEPLOY = "deploy"
 #: A zero-downtime engine swap completed (fields: old_spec, new_spec, ...).
 EVENT_SWAP = "swap"
 EVENT_UNDEPLOY = "undeploy"
-#: A live engine was patched in place (fields: changed_edges,
-#: dirty_vertices, seconds).
+#: Edge-weight changes were applied by repairing a clone of the live engine
+#: and swapping it in (fields: changed_edges, dirty_vertices, seconds).
 EVENT_UPDATE = "update"
 #: The traffic controller accepted edge-weight updates into its pending
 #: batch (fields: updates, pending_edges).
 EVENT_TRAFFIC_INGEST = "traffic.ingest"
-#: The traffic controller executed a policy action (fields: action, reason,
-#: raw_updates, coalesced_edges, dirty_estimate, seconds, staleness_p50).
+#: The traffic controller applied one coalesced batch (fields: action,
+#: raw_updates, coalesced_edges, seconds, staleness_p50).
 EVENT_TRAFFIC_ACTION = "traffic.action"
 #: A supervision recovery ran (fields: action=restart/rehydrate/fallback/park,
 #: cause, failed_futures).

@@ -1,9 +1,9 @@
 """Serving control plane: named engine deployments with zero-downtime swaps.
 
 :class:`~repro.serving.QueryService` is one worker over one engine; a live
-road network needs more — indexes are rebuilt or patched as traffic functions
-change while queries keep arriving.  :class:`EngineHost` is the deployment
-layer above the workers:
+road network needs more — indexes are repaired or replaced as traffic
+functions change while queries keep arriving.  :class:`EngineHost` is the
+deployment layer above the workers:
 
 * :meth:`~EngineHost.deploy` provisions a named deployment from a registry
   spec string (``"td-appro?budget_fraction=0.3"``), a snapshot
@@ -14,8 +14,10 @@ layer above the workers:
   downtime**: the replacement builds (or loads) while the old engine keeps
   answering, the active service pointer flips atomically, the retired
   service drains its in-flight batches, and the replacement starts with a
-  fresh result cache — so a traffic update becomes "patch a clone, swap"
-  instead of "mutate the index under readers";
+  fresh result cache;
+* :meth:`~EngineHost.apply_updates` is the one way edge-weight changes
+  reach a deployment: it clones the live index in memory, repairs the
+  clone, and swaps it in — the index under readers is never mutated;
 * :meth:`~EngineHost.aquery` / :meth:`~EngineHost.asubmit` bridge the
   service's thread-world futures into ``asyncio``, and
   :meth:`~EngineHost.stats` aggregates :class:`~repro.serving.ServiceStats`
@@ -39,8 +41,7 @@ Example
 >>> host = EngineHost()
 >>> host.deploy("prod", "td-appro?budget_fraction=0.3", graph)
 >>> cost = host.query("prod", 3, 17, 8 * 3600.0)
->>> patched = graph.copy()          # apply the incident to a clone ...
->>> host.swap("prod", create_engine("td-appro", patched))   # ... and swap
+>>> host.apply_updates("prod", {(3, 4): new_weight})   # clone, repair, swap
 >>> host.stats()["prod"].queries_answered
 """
 
@@ -321,7 +322,7 @@ class EngineHost:
             )
             self._m_updates = registry.counter(
                 "repro_host_updates_total",
-                "Edge-weight changes patched into live engines in place.",
+                "Edge-weight changes applied through clone, repair and swap.",
                 ("deployment",),
             )
         else:
@@ -523,85 +524,95 @@ class EngineHost:
         are torn down only after the drain.
         """
         deployment = self._get(name)
-        recorded_spec = spec
         with deployment.swap_lock:
-            old_engine = deployment.engine
-            old_pool = deployment.replica_pool
-            new_pool: Any = None
-            new_owned: Path | None = None
-            new_snapshot: Path | None = None
-            build_started = self._clock.monotonic()
-            if old_pool is not None:
-                new_pool, spec, new_snapshot, new_owned = self._provision_replicas(
-                    name,
-                    engine,
-                    graph,
-                    old_pool.size,
-                    old_pool.mmap_mode,
-                    fallback_graph=getattr(old_engine, "graph", None),
-                )
-                built = new_pool
-            else:
-                built, spec = self._resolve_engine(
-                    engine, graph, fallback_graph=getattr(old_engine, "graph", None)
-                )
-                self._wire_engine(built)
-            if recorded_spec is not None:
-                spec = str(recorded_spec)
-            try:
-                new_service = QueryService(built, **deployment.service_options)
-            except BaseException:
+            return self._swap_locked(deployment, engine, graph, spec)
+
+    def _swap_locked(
+        self,
+        deployment: _Deployment,
+        engine: EngineOrSpec,
+        graph: Any,
+        recorded_spec: Optional[str],
+    ) -> SwapReport:
+        """The body of :meth:`swap`; the caller holds the swap lock."""
+        name = deployment.name
+        old_engine = deployment.engine
+        old_pool = deployment.replica_pool
+        new_pool: Any = None
+        new_owned: Path | None = None
+        new_snapshot: Path | None = None
+        build_started = self._clock.monotonic()
+        if old_pool is not None:
+            new_pool, spec, new_snapshot, new_owned = self._provision_replicas(
+                name,
+                engine,
+                graph,
+                old_pool.size,
+                old_pool.mmap_mode,
+                fallback_graph=getattr(old_engine, "graph", None),
+            )
+            built = new_pool
+        else:
+            built, spec = self._resolve_engine(
+                engine, graph, fallback_graph=getattr(old_engine, "graph", None)
+            )
+            self._wire_engine(built)
+        if recorded_spec is not None:
+            spec = str(recorded_spec)
+        try:
+            new_service = QueryService(built, **deployment.service_options)
+        except BaseException:
+            self._dispose_pool(new_pool, new_owned)
+            raise
+        build_seconds = self._clock.monotonic() - build_started
+
+        switch_started = self._clock.monotonic()
+        was_healthy = True
+        with self._lock:
+            if self._closed or self._deployments.get(name) is not deployment:
+                new_service.close()
                 self._dispose_pool(new_pool, new_owned)
-                raise
-            build_seconds = self._clock.monotonic() - build_started
+                if self._closed:
+                    raise HostError("EngineHost is closed")
+                raise UnknownDeploymentError(name, tuple(self._deployments))
+            old_service = deployment.service
+            old_spec = deployment.spec
+            old_owned = deployment.owned_snapshot_dir
+            deployment.service = new_service
+            deployment.engine = built
+            deployment.spec = spec
+            deployment.replica_pool = new_pool
+            deployment.owned_snapshot_dir = new_owned
+            if new_snapshot is not None:
+                deployment.last_snapshot = new_snapshot
+            elif old_owned is not None and deployment.last_snapshot == old_owned:
+                # The old host-owned snapshot dies with the drain below;
+                # it must not linger as a rehydration source.
+                deployment.last_snapshot = None
+            deployment.swap_count += 1
+            # A swap installs a known-good engine: the deployment starts
+            # its health history over (an UNHEALTHY primary parked on a
+            # fallback returns to primary serving here).
+            was_healthy = deployment.health is HealthState.HEALTHY
+            deployment.health = HealthState.HEALTHY
+            deployment.health_cause = None
+            deployment.clean_checks = 0
+            deployment.restarts_since_healthy = 0
+            # Retire the outgoing generation's counters in the same
+            # critical section as the flip, so a concurrent stats()
+            # never sees the deployment's totals dip (the pre-drain
+            # snapshot is replaced with the final one below).
+            deployment.retired_stats.append(old_service.stats())
+            retired_index = len(deployment.retired_stats) - 1
+        switch_seconds = self._clock.monotonic() - switch_started
 
-            switch_started = self._clock.monotonic()
-            was_healthy = True
-            with self._lock:
-                if self._closed or self._deployments.get(name) is not deployment:
-                    new_service.close()
-                    self._dispose_pool(new_pool, new_owned)
-                    if self._closed:
-                        raise HostError("EngineHost is closed")
-                    raise UnknownDeploymentError(name, tuple(self._deployments))
-                old_service = deployment.service
-                old_spec = deployment.spec
-                old_owned = deployment.owned_snapshot_dir
-                deployment.service = new_service
-                deployment.engine = built
-                deployment.spec = spec
-                deployment.replica_pool = new_pool
-                deployment.owned_snapshot_dir = new_owned
-                if new_snapshot is not None:
-                    deployment.last_snapshot = new_snapshot
-                elif old_owned is not None and deployment.last_snapshot == old_owned:
-                    # The old host-owned snapshot dies with the drain below;
-                    # it must not linger as a rehydration source.
-                    deployment.last_snapshot = None
-                deployment.swap_count += 1
-                # A swap installs a known-good engine: the deployment starts
-                # its health history over (an UNHEALTHY primary parked on a
-                # fallback returns to primary serving here).
-                was_healthy = deployment.health is HealthState.HEALTHY
-                deployment.health = HealthState.HEALTHY
-                deployment.health_cause = None
-                deployment.clean_checks = 0
-                deployment.restarts_since_healthy = 0
-                # Retire the outgoing generation's counters in the same
-                # critical section as the flip, so a concurrent stats()
-                # never sees the deployment's totals dip (the pre-drain
-                # snapshot is replaced with the final one below).
-                deployment.retired_stats.append(old_service.stats())
-                retired_index = len(deployment.retired_stats) - 1
-            switch_seconds = self._clock.monotonic() - switch_started
-
-            drain_started = self._clock.monotonic()
-            drained = old_service.close()
-            drain_seconds = self._clock.monotonic() - drain_started
-            with self._lock:
-                deployment.retired_stats[retired_index] = old_service.stats()
-            # The drain is done: nothing routes to the old pool any more.
-            self._dispose_pool(old_pool, old_owned)
+        drain_started = self._clock.monotonic()
+        drained = old_service.close()
+        drain_seconds = self._clock.monotonic() - drain_started
+        with self._lock:
+            deployment.retired_stats[retired_index] = old_service.stats()
+        # The drain is done: nothing routes to the old pool any more.
+        self._dispose_pool(old_pool, old_owned)
         if self._m_swaps is not None:
             self._m_swaps.inc(1.0, deployment=name)
         if not was_healthy:
@@ -631,42 +642,34 @@ class EngineHost:
         name: str,
         changes: Mapping[tuple[int, int], Any],
     ) -> Any:
-        """Patch deployment ``name``'s live engine **in place** (no swap).
+        """Apply edge-weight ``changes`` to deployment ``name``: clone, repair, swap.
 
-        The cheap end of the update spectrum: for a handful of changed edges
-        the incremental repair (:func:`repro.core.update.apply_edge_updates`,
-        reached through the engine's ``update_edges`` capability) costs far
-        less than cloning and swapping, at the price of transiently mixed
-        answers while the repair runs — queries in flight during the patch
-        may reflect either the old or the new weights, so callers gate this
-        on low traffic (see :class:`repro.traffic.TrafficController`).  Once
-        the call returns, every subsequent answer reflects the new weights
-        and the result cache has been invalidated.
+        The one update path.  Under the deployment's swap lock it takes a
+        private :meth:`clone` of the live index, repairs the clone with
+        ``update_edges`` (:func:`repro.core.update.apply_edge_updates`), and
+        flips it in exactly as :meth:`swap` would.  The engine serving
+        readers is never mutated: every answer comes from either the old
+        engine or the repaired one, and the retired engine still answers as
+        it did before the call.  Holding the lock from clone to flip means
+        no concurrent :meth:`swap` can land in between and be overwritten.
 
-        Holds the deployment's swap lock for the duration: a patch can never
-        race :meth:`swap` and land on a retired engine, and the end-of-update
-        invalidation always fires into the *live* generation's cache.
-        Returns the engine's :class:`~repro.core.update.UpdateReport`.
+        The swap records the spec the clone was taken from, so build options
+        such as ``?max_points=none`` survive; like :meth:`clone`, a
+        ``faulty:`` deployment comes back unwrapped.  A replica pool repairs
+        a clone of its own snapshot and respawns over the result.  Returns
+        the repair's :class:`~repro.core.update.UpdateReport`.
 
         Raises
         ------
         UnsupportedCapabilityError
-            When the live engine does not advertise the ``update``
-            capability (e.g. a multi-process replica pool — patch a clone
-            and :meth:`swap` instead).
+            When the deployment's engine holds no index to repair (e.g.
+            ``td-dijkstra``).
         """
         deployment = self._get(name)
         with deployment.swap_lock:
-            with self._lock:
-                self._check_open()
-                if self._deployments.get(name) is not deployment:
-                    raise UnknownDeploymentError(name, tuple(self._deployments))
-                engine = deployment.engine
-            if not engine.capabilities().update:
-                raise UnsupportedCapabilityError(
-                    str(getattr(engine, "name", deployment.spec)), "update"
-                )
-            report = engine.update_edges(dict(changes))
+            cloned, spec = self._clone(deployment)
+            report = cloned.update_edges(dict(changes))
+            self._swap_locked(deployment, cloned, None, spec)
         if self._m_updates is not None:
             self._m_updates.inc(float(len(changes)), deployment=name)
         self._emit(
@@ -949,13 +952,14 @@ class EngineHost:
         """A private engine holding a copy of the deployment's index.
 
         The copy can be repaired with ``update_edges`` and installed with
-        :meth:`swap` while the live engine keeps serving, untouched.  An
-        in-process deployment is cloned in memory
-        (:meth:`~repro.core.index.TDTreeIndex.clone`) and named as
-        :meth:`snapshot` would record it (a ``faulty:`` deployment yields
-        its inner index).  A replica pool holds no index in this process,
-        so its clone is loaded from the pool's own snapshot.  Nothing is
-        written to disk and the rehydration source is left as it is.
+        :meth:`swap` while the live engine keeps serving, untouched —
+        :meth:`apply_updates` does exactly that.  An in-process deployment
+        is cloned in memory (:meth:`~repro.core.index.TDTreeIndex.clone`)
+        and named as :meth:`snapshot` would record it (a ``faulty:``
+        deployment yields its inner index).  A replica pool holds no index
+        in this process, so its clone is loaded from the pool's own
+        snapshot.  Nothing is written to disk and the rehydration source is
+        left as it is.
 
         Raises
         ------
@@ -963,19 +967,23 @@ class EngineHost:
             When the deployment's engine is not index-backed (nothing to
             repair).
         """
+        return self._clone(self._get(deployment))[0]
+
+    def _clone(self, entry: _Deployment) -> tuple[Any, str]:
+        """:meth:`clone`, plus the build spec the copy carries."""
         from repro.api import TDTreeEngine, create_engine, parse_engine_spec
         from repro.core.index import TDTreeIndex
 
-        entry = self._get(deployment)
         pool = entry.replica_pool
         if pool is not None:
-            return create_engine(f"snapshot:{pool.snapshot_path}")
+            loaded = create_engine(f"snapshot:{pool.snapshot_path}")
+            return loaded, loaded.index.engine_spec or loaded.name
         index, spec = self._resolved_index(entry)
         if not isinstance(index, TDTreeIndex):
             raise UnsupportedCapabilityError(spec, "update")
         cloned = index.clone()
         cloned.engine_spec = spec
-        return TDTreeEngine(cloned, name=parse_engine_spec(spec)[0])
+        return TDTreeEngine(cloned, name=parse_engine_spec(spec)[0]), spec
 
     @staticmethod
     def _resolved_index(entry: _Deployment) -> tuple[Any, str]:

@@ -1,16 +1,15 @@
-"""Live-traffic control loop: streaming updates, patch-vs-swap policy.
+"""Live-traffic control loop: streaming edge updates, one repair path.
 
 The layer that turns a static index server into a live system.  Edge-weight
 events stream into an :class:`UpdateStream`; a :class:`TrafficController`
-coalesces them per edge, asks an :class:`UpdatePolicy` whether to patch the
-live index in place, patch an in-memory clone and hot-swap it, or rebuild in
-the background — and executes the choice through
-:class:`~repro.serving.EngineHost` without ever blocking the query path.
-Staleness (seconds from event to servable answer) is the loop's first-class
-metric: ``repro_traffic_staleness_seconds``, per-action counters, and
-``traffic.*`` events.  :class:`ScenarioDriver` generates seeded rush-hour
-waves, rolling closures, and flash incidents for tests and
-``benchmarks/bench_traffic.py``.
+coalesces them per edge and applies each batch through
+:meth:`~repro.serving.EngineHost.apply_updates`, which clones the live
+index, repairs the clone and swaps it in without ever blocking the query
+path.  Staleness (seconds from event to servable answer) is the loop's
+first-class metric: ``repro_traffic_staleness_seconds``, the
+``repro_traffic_actions_total`` step counter, and ``traffic.*`` events.
+:class:`ScenarioDriver` generates seeded rush-hour waves, rolling closures,
+and flash incidents for tests and ``benchmarks/bench_traffic.py``.
 
 Quick start::
 
@@ -25,23 +24,11 @@ Quick start::
 from __future__ import annotations
 
 from repro.traffic.controller import (
+    ACTION_CLONE_SWAP,
     STALENESS_BUCKETS_S,
     ControlReport,
     TrafficController,
     TrafficStats,
-)
-from repro.traffic.estimate import estimate_dirty_vertices
-from repro.traffic.policy import (
-    ACTION_CLONE_SWAP,
-    ACTION_PATCH,
-    ACTION_REBUILD,
-    ACTIONS,
-    AdaptivePolicy,
-    CostModel,
-    FixedPolicy,
-    PolicyDecision,
-    PolicyObservation,
-    UpdatePolicy,
 )
 from repro.traffic.scenarios import ScenarioDriver, ScenarioEvent
 from repro.traffic.stream import EdgeUpdate, UpdateStream
@@ -51,23 +38,11 @@ __all__ = [
     "TrafficController",
     "ControlReport",
     "TrafficStats",
+    "ACTION_CLONE_SWAP",
     "STALENESS_BUCKETS_S",
     # stream
     "EdgeUpdate",
     "UpdateStream",
-    # policy
-    "ACTION_PATCH",
-    "ACTION_CLONE_SWAP",
-    "ACTION_REBUILD",
-    "ACTIONS",
-    "UpdatePolicy",
-    "AdaptivePolicy",
-    "FixedPolicy",
-    "PolicyObservation",
-    "PolicyDecision",
-    "CostModel",
-    # estimation
-    "estimate_dirty_vertices",
     # scenarios
     "ScenarioDriver",
     "ScenarioEvent",

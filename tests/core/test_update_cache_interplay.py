@@ -170,15 +170,16 @@ def test_host_apply_updates_serializes_against_swap(small_grid):
     """host.apply_updates must wait for a concurrent swap, never interleave.
 
     Holding the deployment's swap lock (what ``swap`` does while it builds
-    and flips) must park apply_updates entirely; once released, the patch
-    lands on whatever engine is live, and answers converge to the
-    fresh-rebuild oracle.
+    and flips) must park apply_updates entirely — clone, repair and flip
+    happen under that one lock.  Once released, the repaired clone of
+    whatever engine is live is swapped in, the engine it replaced is left
+    untouched, and answers converge to the fresh-rebuild oracle.
     """
     with EngineHost(max_batch_size=16) as host:
         host.deploy("prod", "td-h2h", small_grid.copy())
         entry = host._deployments["prod"]
-        graph = host.deployment("prod").engine.graph
-        edges = sorted(graph.edges(), key=lambda e: (e[0], e[1]))
+        before = host.deployment("prod")
+        edges = sorted(before.engine.graph.edges(), key=lambda e: (e[0], e[1]))
         u, v, weight = edges[0]
         changes = {(u, v): weight.shift(300.0)}
 
@@ -198,21 +199,29 @@ def test_host_apply_updates_serializes_against_swap(small_grid):
         assert applied.wait(10.0), "apply_updates never completed after swap"
         thread.join(timeout=10.0)
 
-        fresh = create_engine("td-h2h", graph.copy())
+        after = host.deployment("prod")
+        assert after.swap_count == before.swap_count + 1
+        assert before.engine.graph.weight(u, v) is weight  # never mutated
+        shadow = small_grid.copy()
+        shadow.set_weight(u, v, weight.shift(300.0))
+        fresh = create_engine("td-h2h", shadow)
         for s, t, d in [(0, 24, 0.0), (u, v, 1_000.0), (24, 0, 43_200.0)]:
             assert host.query("prod", s, t, d) == fresh.query(s, t, d).cost
 
 
 def test_host_apply_updates_lands_on_live_generation_after_swap(small_grid):
-    """Updates submitted after a swap patch the new engine, not the retired one."""
+    """Updates submitted after a swap repair a clone of the new engine."""
     with EngineHost(max_batch_size=16) as host:
         host.deploy("prod", "td-h2h", small_grid.copy())
-        host.swap("prod", "td-h2h", small_grid.copy())
-        graph = host.deployment("prod").engine.graph
-        edges = sorted(graph.edges(), key=lambda e: (e[0], e[1]))
+        host.swap("prod", "td-h2h?max_points=none", small_grid.copy())
+        edges = sorted(small_grid.edges(), key=lambda e: (e[0], e[1]))
         u, v, weight = edges[2]
         report = host.apply_updates("prod", {(u, v): weight.shift(120.0)})
         assert report.num_dirty_vertices >= 1
+        # The clone came from the swapped-in generation: its spec survives.
+        assert host.deployment("prod").spec == "td-h2h?max_points=none"
 
-        fresh = create_engine("td-h2h", graph.copy())
+        shadow = small_grid.copy()
+        shadow.set_weight(u, v, weight.shift(120.0))
+        fresh = create_engine("td-h2h?max_points=none", shadow)
         assert host.query("prod", u, v, 0.0) == fresh.query(u, v, 0.0).cost

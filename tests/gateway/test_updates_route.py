@@ -6,16 +6,14 @@ import pytest
 
 from repro.api import create_engine
 from repro.exceptions import NoTrafficControllerError
-from repro.traffic import ACTION_PATCH, FixedPolicy, TrafficController
+from repro.traffic import TrafficController
 
 from _asgi import call
 
 
 @pytest.fixture()
 def controller(gateway_host, gateway_app):
-    with TrafficController(
-        gateway_host, "prod", policy=FixedPolicy(ACTION_PATCH)
-    ) as ctl:
+    with TrafficController(gateway_host, "prod") as ctl:
         gateway_app.attach_controller(ctl)
         yield ctl
 
@@ -67,10 +65,10 @@ class TestIngest:
         )
         assert result.status == 200
         applied = result.json()["applied"]
-        assert applied["action"] == "patch"
+        assert applied["action"] == "clone_swap"
         assert applied["coalesced_edges"] == 1
         assert applied["staleness_max_s"] >= 0.0
-        # The patch really landed: answers match a fresh-rebuild oracle.
+        # The repair really landed: answers match a fresh-rebuild oracle.
         shadow = small_grid.copy()
         shadow.set_weight(0, 1, shadow.weight(0, 1).shift(300.0))
         oracle = create_engine("td-h2h", shadow)

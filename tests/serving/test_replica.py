@@ -358,6 +358,26 @@ class TestHostIntegration:
             basic_index.batch_query(sources, targets, departures).costs,
         )
 
+    def test_apply_updates_respawns_the_pool_over_a_repaired_clone(
+        self, snapshot_dir, basic_index
+    ):
+        graph = basic_index.graph
+        weight = graph.weight(0, 1)
+        shadow = graph.copy()
+        shadow.set_weight(0, 1, weight.shift(300.0))
+        oracle = create_engine("td-basic?max_points=none", shadow)
+        with EngineHost(cache_size=0) as host:
+            host.deploy("prod", f"snapshot:{snapshot_dir}", replicas=1)
+            report = host.apply_updates("prod", {(0, 1): weight.shift(300.0)})
+            assert report.num_dirty_vertices >= 1
+            info = host.deployment("prod")
+            assert info.replicas == 1 and info.swap_count == 1
+            sources, targets, departures = _workload(graph, count=20, seed=55)
+            for s, t, d in zip(sources, targets, departures):
+                assert host.query("prod", int(s), int(t), float(d)) == oracle.query(
+                    int(s), int(t), float(d)
+                ).cost
+
     def test_replica_stats_on_unknown_deployment_raises(self, replica_host):
         with pytest.raises(HostError):
             replica_host.replica_stats("missing")

@@ -1,6 +1,6 @@
-"""TrafficController: coalescing, action execution, staleness accounting.
+"""TrafficController: coalescing, clone-repair-swap steps, staleness accounting.
 
-Every action's end state is checked against the strongest oracle available:
+Every step's end state is checked against the strongest oracle available:
 a fresh engine built from a shadow graph that tracked the same updates —
 answers must match bit for bit.
 """
@@ -16,20 +16,12 @@ from repro.api import create_engine
 from repro.exceptions import (
     TrafficControlError,
     UnknownDeploymentError,
+    UnsupportedCapabilityError,
     WorkerCrashedError,
 )
 from repro.obs import Observability
 from repro.serving import EngineHost, HealthState, InjectedFaultError, SupervisionConfig
-from repro.traffic import (
-    ACTION_CLONE_SWAP,
-    ACTION_PATCH,
-    ACTION_REBUILD,
-    ACTIONS,
-    FixedPolicy,
-    PolicyDecision,
-    ScenarioDriver,
-    TrafficController,
-)
+from repro.traffic import ACTION_CLONE_SWAP, ScenarioDriver, TrafficController
 from repro.utils.timing import FakeClock
 
 
@@ -76,9 +68,7 @@ class TestLifecycle:
 class TestCoalescing:
     def test_latest_event_per_edge_wins(self, host, small_grid):
         clock = FakeClock()
-        with TrafficController(
-            host, "prod", policy=FixedPolicy(ACTION_PATCH), clock=clock
-        ) as controller:
+        with TrafficController(host, "prod", clock=clock) as controller:
             base = small_grid.weight(0, 1)
             # Out-of-order arrival: the newer event is pushed first.
             controller.stream.emit(0, 1, base.shift(600.0), event_at=10.0)
@@ -95,15 +85,10 @@ class TestCoalescing:
 
 
 class TestActions:
-    @pytest.mark.parametrize("action", ACTIONS)
-    def test_each_action_converges_to_fresh_rebuild_oracle(
-        self, host, small_grid, action
-    ):
+    def test_step_converges_to_fresh_rebuild_oracle(self, host, small_grid):
         shadow = small_grid.copy()
         queries = _workload(shadow)
-        with TrafficController(
-            host, "prod", policy=FixedPolicy(action)
-        ) as controller:
+        with TrafficController(host, "prod") as controller:
             driver = ScenarioDriver(shadow, seed=4)
             events = driver.flash_incident(edges=3, delay=420.0)
             for update in driver.updates(events, origin=0.0):
@@ -111,9 +96,9 @@ class TestActions:
                 shadow.set_weight(update.source, update.target, update.weight)
             report = controller.step()
             assert report is not None
-            assert report.action == action
+            assert report.action == ACTION_CLONE_SWAP
             assert report.coalesced_edges == 3
-            assert report.dirty_estimate >= 1
+            assert report.update_report.num_dirty_vertices >= 1
             oracle = create_engine("td-h2h", shadow.copy())
             for source, target, departure in queries:
                 assert (
@@ -122,16 +107,14 @@ class TestActions:
                 )
             stats = controller.stats()
             assert stats.steps == 1
-            assert stats.actions[action] == 1
-            assert stats.last_action == action
+            assert dict(stats.actions) == {ACTION_CLONE_SWAP: 1}
+            assert stats.last_action == ACTION_CLONE_SWAP
 
     def test_emit_delay_is_baseline_relative_and_clears(self, host, small_grid):
         queries = _workload(small_grid, count=10, seed=92)
         baseline = create_engine("td-h2h", small_grid.copy())
         expected = [baseline.query(s, t, d).cost for s, t, d in queries]
-        with TrafficController(
-            host, "prod", policy=FixedPolicy(ACTION_PATCH)
-        ) as controller:
+        with TrafficController(host, "prod") as controller:
             # Repeated emits do not compound: each is relative to baseline.
             controller.emit_delay(0, 1, 300.0)
             controller.step()
@@ -142,78 +125,46 @@ class TestActions:
             served = [host.query("prod", s, t, d) for s, t, d in queries]
             assert served == expected
 
-    def test_rebuild_downgrades_to_clone_swap_without_a_spec(
-        self, host, small_grid, tmp_path
-    ):
-        # A snapshot-restored deployment has no buildable rebuild spec.
+    def test_snapshot_deployment_repairs_a_clone(self, host, small_grid, tmp_path):
         snapshot = host.snapshot("prod", tmp_path / "snap")
         host.swap("prod", f"snapshot:{snapshot}")
         shadow = small_grid.copy()
-        with TrafficController(
-            host, "prod", policy=FixedPolicy(ACTION_REBUILD)
-        ) as controller:
+        with TrafficController(host, "prod") as controller:
             base = shadow.weight(0, 1)
             shadow.set_weight(0, 1, base.shift(240.0))
             controller.stream.emit(0, 1, base.shift(240.0), event_at=0.0)
             report = controller.step()
             assert report is not None
             assert report.action == ACTION_CLONE_SWAP
-            assert "downgraded" in report.reason
-            oracle = create_engine("td-h2h", shadow.copy())
-            for source, target, departure in _workload(shadow, count=8, seed=93):
-                assert (
-                    host.query("prod", source, target, departure)
-                    == oracle.query(source, target, departure).cost
-                )
+        # The repaired clone records the engine's name, not the old path.
+        assert host.deployment("prod").spec == "td-h2h"
+        oracle = create_engine("td-h2h", shadow.copy())
+        for source, target, departure in _workload(shadow, count=8, seed=93):
+            assert (
+                host.query("prod", source, target, departure)
+                == oracle.query(source, target, departure).cost
+            )
 
-    def test_rebuild_after_clone_swap_keeps_build_options(self, small_grid):
-        """clone_swap must not degrade the deployment's recorded spec.
+    def test_apply_updates_keeps_build_options(self, small_grid):
+        """The swapped-in clone records the full build spec.
 
-        The clone is swapped in as a ready engine; without the spec carried
-        through, a later rebuild would silently drop options such as
-        ``?max_points=none`` and build a lossy engine whose answers drift
-        from the fresh-rebuild oracle.
+        Without it the deployment's spec would degrade to the engine's bare
+        name, and a later snapshot would silently drop options
+        such as ``?max_points=none``.
         """
-        spec = "td-h2h?max_points=none"
-        shadow = small_grid.copy()
+        spec = "td-appro?max_points=none"
         with EngineHost(max_batch_size=32) as host:
             host.deploy("prod", spec, small_grid.copy())
-            base = shadow.weight(0, 1)
-            with TrafficController(
-                host, "prod", policy=FixedPolicy(ACTION_CLONE_SWAP)
-            ) as controller:
-                shadow.set_weight(0, 1, base.shift(120.0))
-                controller.stream.emit(0, 1, base.shift(120.0), event_at=0.0)
-                controller.step()
+            base = small_grid.weight(0, 1)
+            host.apply_updates("prod", {(0, 1): base.shift(120.0)})
             assert host.deployment("prod").spec == spec
-            # A fresh controller rebuilds with the full spec intact.
-            with TrafficController(
-                host, "prod", policy=FixedPolicy(ACTION_REBUILD)
-            ) as controller:
-                shadow.set_weight(0, 1, base.shift(240.0))
-                controller.stream.emit(0, 1, base.shift(240.0), event_at=0.0)
-                report = controller.step()
-            assert report is not None and report.action == ACTION_REBUILD
-            rebuilt = host.deployment("prod").engine
-            assert rebuilt.index.max_points is None
-            oracle = create_engine(spec, shadow.copy())
-            for source, target, departure in _workload(shadow, count=8, seed=95):
-                assert (
-                    host.query("prod", source, target, departure)
-                    == oracle.query(source, target, departure).cost
-                )
+            assert host.deployment("prod").engine.index.max_points is None
 
-    def test_patch_downgrades_when_engine_cannot_update(self, small_grid):
+    def test_index_free_engine_is_refused_at_construction(self, small_grid):
         with EngineHost(max_batch_size=32) as host:
             host.deploy("ref", "td-dijkstra", small_grid.copy())
-            with TrafficController(
-                host, "ref", policy=FixedPolicy(ACTION_PATCH)
-            ) as controller:
-                decision = controller._downgrade_locked(
-                    PolicyDecision(ACTION_PATCH, "test")
-                )
-                assert decision.action == ACTION_CLONE_SWAP
-                assert "downgraded" in decision.reason
+            with pytest.raises(UnsupportedCapabilityError):
+                TrafficController(host, "ref")
 
 
 class TestSupervisionAfterSteps:
@@ -233,9 +184,7 @@ class TestSupervisionAfterSteps:
 
     @staticmethod
     def _clone_swap_step(host, graph, delay):
-        with TrafficController(
-            host, "prod", policy=FixedPolicy(ACTION_CLONE_SWAP)
-        ) as controller:
+        with TrafficController(host, "prod") as controller:
             controller.stream.emit(0, 1, graph.weight(0, 1).shift(delay))
             report = controller.step()
         assert report is not None and report.action == ACTION_CLONE_SWAP
@@ -282,9 +231,7 @@ class TestSupervisionAfterSteps:
 class TestStaleness:
     def test_staleness_measured_from_event_time(self, host):
         clock = FakeClock(start=1000.0)
-        with TrafficController(
-            host, "prod", policy=FixedPolicy(ACTION_PATCH), clock=clock
-        ) as controller:
+        with TrafficController(host, "prod", clock=clock) as controller:
             controller.emit_delay(0, 1, 120.0)  # stamped at t=1000
             clock.advance(10.0)
             report = controller.step()
@@ -300,15 +247,13 @@ class TestStaleness:
         obs = Observability()
         with EngineHost(max_batch_size=32, obs=obs) as host:
             host.deploy("prod", "td-h2h", small_grid.copy())
-            with TrafficController(
-                host, "prod", policy=FixedPolicy(ACTION_PATCH)
-            ) as controller:
+            with TrafficController(host, "prod") as controller:
                 controller.emit_delay(0, 1, 60.0)
                 controller.step()
             text = host.metrics_text()
             assert "repro_traffic_staleness_seconds" in text
             assert (
-                'repro_traffic_actions_total{deployment="prod",action="patch"} 1'
+                'repro_traffic_actions_total{deployment="prod",action="clone_swap"} 1'
                 in text
             )
             assert "repro_traffic_updates_total" in text
@@ -319,9 +264,7 @@ class TestStaleness:
 
 class TestBackgroundLoop:
     def test_loop_applies_updates_without_manual_steps(self, host, small_grid):
-        with TrafficController(
-            host, "prod", policy=FixedPolicy(ACTION_PATCH)
-        ) as controller:
+        with TrafficController(host, "prod") as controller:
             controller.start(interval_seconds=0.01)
             base = small_grid.weight(0, 1)
             controller.stream.emit(0, 1, base.shift(180.0))
